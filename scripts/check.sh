@@ -3,10 +3,12 @@
 # gate (zero pool misses, zero dense full-table gradient scans in a
 # warmed-up training step, no silent scalar kernel fallback), the serving
 # SLO smoke gate (router tail latency, sharded cache hit rate, zero-failure
-# hot swap, int8 parity), the ANN smoke gate (IVF recall@10 vs exact,
-# sub-millisecond p99 at 100k entities), the SIMD
-# backend matrix (full ctest under every compiled backend), ThreadSanitizer,
-# AddressSanitizer, UndefinedBehaviorSanitizer, the clang thread-safety
+# hot swap, int8 parity), the end-to-end benchmark smoke (served responses
+# bit-exact vs the reference, AUC floors, recorded train losses), the ANN
+# smoke gate (IVF recall@10 vs exact, sub-millisecond p99 at 100k
+# entities), the SIMD backend matrix (full ctest under every compiled
+# backend), ThreadSanitizer, AddressSanitizer,
+# UndefinedBehaviorSanitizer, the clang thread-safety
 # analysis build, the project linter (pass 1), and the cross-file analyzer
 # (pass 2: lock-order cycles, hot-path reachability, Status propagation,
 # with a >= 5x incremental-cache gate). Each stage reports pass/fail/skip
@@ -89,6 +91,13 @@ if [ -x build/tests/serve_test ]; then
 else
   record "snapshot-compat" SKIP
 fi
+
+# 1b''''. End-to-end smoke: bench/e2e/run.sh builds the standalone
+# benchmark from this checkout and runs every workload with 2 s phases. It
+# exits nonzero if a served response differs from the reference forward, a
+# held-out AUC floor is missed, or a train-nyt epoch loss drifts from its
+# recorded value.
+run_stage "e2e-smoke" bash bench/e2e/run.sh --smoke
 
 # 1b''. ANN smoke: IVF index over 100k x 64 clustered vectors, exits
 # nonzero if recall@10 vs the exact FlatIndex drops below 0.95 or p99

@@ -5,6 +5,7 @@
 #define IMR_NN_ATTENTION_H_
 
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -26,6 +27,13 @@ class SelectiveAttention : public Module {
   /// inspection and tests. Returns [N].
   tensor::Tensor Weights(const tensor::Tensor& x, int relation) const;
 
+  /// Inference only: the bag representation under every query relation at
+  /// once. x: [N x dim]; returns [num_relations x dim] whose row r equals
+  /// BagRepresentation(x, r) bit for bit on every backend. One [R x N]
+  /// score matrix and one row softmax replace R separate passes. Records no
+  /// graph; IMR_CHECKs that grad mode is off.
+  tensor::Tensor StackedBagRepresentations(const tensor::Tensor& x) const;
+
   int dim() const { return dim_; }
   int num_relations() const { return num_relations_; }
 
@@ -34,6 +42,7 @@ class SelectiveAttention : public Module {
   int num_relations_;
   tensor::Tensor diag_;  // A, stored as its diagonal [dim]
   std::unique_ptr<Embedding> queries_;
+  std::vector<int> all_relations_;  // 0 .. num_relations-1
 };
 
 }  // namespace imr::nn

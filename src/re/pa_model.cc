@@ -64,10 +64,11 @@ void PaModel::EnableQuantizedInference() {
 Tensor PaModel::HeadForward(const nn::Linear& head,
                             const nn::QuantizedLinear* quantized,
                             const Tensor& x) const {
-  if (quantized != nullptr && !tensor::GradModeEnabled()) {
-    return quantized->Forward(x);
-  }
-  return head.Forward(x);
+  if (tensor::GradModeEnabled()) return head.Forward(x);
+  if (quantized != nullptr) return quantized->Forward(x);
+  // Row-exact: a stacked [R x dim] input gives each row the bits of its
+  // own rank-1 head.Forward.
+  return tensor::RowwiseAffine(x, head.weight(), head.bias());
 }
 
 float PaModel::alpha() const { return alpha_.defined() ? alpha_.item() : 0; }
@@ -101,7 +102,9 @@ Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
   if (!config_.use_mutual_relation && !config_.use_entity_type) {
     return re_logits;
   }
-  // gamma * RE with RE = softmax(re_logits).
+  // gamma * RE with RE = softmax(re_logits), one row per attention query.
+  // C_MR and C_T do not depend on the query: each is computed once and
+  // added to every row.
   Tensor mixture =
       tensor::ScaleByScalarTensor(tensor::Softmax(re_logits), gamma_);
   if (config_.use_mutual_relation) {
@@ -111,17 +114,19 @@ Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
                                        bag.mutual_relation);
     Tensor c_mr = tensor::Softmax(
         HeadForward(*mr_head_, quantized_mr_head_.get(), mr_input));
-    mixture = tensor::Add(mixture, tensor::ScaleByScalarTensor(c_mr, alpha_));
+    mixture = tensor::AddRowVector(mixture,
+                                   tensor::ScaleByScalarTensor(c_mr, alpha_));
   }
   if (config_.use_entity_type) {
     Tensor t_input =
         type_embedding_->PairVector(bag.head_types, bag.tail_types);
     Tensor c_t = tensor::Softmax(
         HeadForward(*type_head_, quantized_type_head_.get(), t_input));
-    mixture = tensor::Add(mixture, tensor::ScaleByScalarTensor(c_t, beta_));
+    mixture = tensor::AddRowVector(mixture,
+                                   tensor::ScaleByScalarTensor(c_t, beta_));
   }
-  return tensor::Add(tensor::ScaleByScalarTensor(mixture, fuse_scale_),
-                     fuse_bias_);
+  return tensor::AddRowVector(
+      tensor::ScaleByScalarTensor(mixture, fuse_scale_), fuse_bias_);
 }
 
 Tensor PaModel::BagLogits(const Bag& bag, int query_relation,
@@ -179,23 +184,19 @@ std::vector<float> PaModel::PredictImpl(const Bag& bag,
                                         util::Rng* rng) const {
   tensor::NoGradGuard no_grad;
   Tensor encodings = EncodeBag(bag, rng);
+  // Diagonal evaluation under attention: relation r is scored under its own
+  // query, i.e. read at [r, r] of the stacked [R x R] result. avg/max give
+  // one rank-1 row that scores every relation.
+  const bool diagonal = config_.aggregation == Aggregation::kAttention;
+  Tensor bag_repr = diagonal ? attention_->StackedBagRepresentations(encodings)
+                             : Aggregate(encodings, /*query_relation=*/0);
+  Tensor probs = tensor::Softmax(FuseLogits(
+      bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr)));
   std::vector<float> probabilities(
       static_cast<size_t>(config_.num_relations), 0.0f);
-  if (config_.aggregation == Aggregation::kAttention) {
-    // Diagonal evaluation: relation r is scored under its own query.
-    for (int r = 0; r < config_.num_relations; ++r) {
-      Tensor bag_repr = Aggregate(encodings, r);
-      Tensor logits = FuseLogits(
-          bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr));
-      Tensor probs = tensor::Softmax(logits);
-      probabilities[static_cast<size_t>(r)] = probs.at(r);
-    }
-  } else {
-    Tensor bag_repr = Aggregate(encodings, /*query_relation=*/0);
-    Tensor probs = tensor::Softmax(FuseLogits(
-        bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr)));
-    for (int r = 0; r < config_.num_relations; ++r)
-      probabilities[static_cast<size_t>(r)] = probs.at(r);
+  for (int r = 0; r < config_.num_relations; ++r) {
+    probabilities[static_cast<size_t>(r)] =
+        diagonal ? probs.at(r, r) : probs.at(r);
   }
   return probabilities;
 }

@@ -49,7 +49,10 @@ class PaModel : public nn::Module {
 
   /// Inference: probability of every relation for a bag. With selective
   /// attention each relation r is scored under its own query (the standard
-  /// "diagonal" evaluation); with avg/max one forward pass suffices.
+  /// "diagonal" evaluation). All R queries run in one pass: the stacked
+  /// [R x dim] bag representations go through the RE head once, C_MR and
+  /// C_T are computed once. With fp32 heads entry r is bit-identical to
+  /// Softmax(BagLogits(bag, r, ...)).at(r) evaluated without gradients.
   /// `rng` only drives dropout and is untouched (may be null) unless the
   /// model is in training mode.
   std::vector<float> Predict(const Bag& bag, util::Rng* rng) const;
@@ -84,11 +87,14 @@ class PaModel : public nn::Module {
   tensor::Tensor EncodeBag(const Bag& bag, util::Rng* rng) const;
   tensor::Tensor Aggregate(const tensor::Tensor& encodings,
                            int query_relation) const;
-  // Fuses RE logits with the MR / Type confidences for one bag.
+  // Fuses RE logits with the MR / Type confidences for one bag. re_logits
+  // is rank-1 [R] (one query) or [Q x R] (one row per query); C_MR and C_T
+  // are broadcast over the rows.
   tensor::Tensor FuseLogits(const Bag& bag,
                             const tensor::Tensor& re_logits) const;
   // Head forward that honors quantized inference: the int8 shadow when one
-  // exists and no gradients are recording, the fp32 layer otherwise.
+  // exists and no gradients are recording, the fp32 layer otherwise. Both
+  // no-grad paths compute each row of a rank-2 x on its own.
   tensor::Tensor HeadForward(const nn::Linear& head,
                              const nn::QuantizedLinear* quantized,
                              const tensor::Tensor& x) const;

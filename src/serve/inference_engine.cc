@@ -36,10 +36,10 @@ double Percentile(const std::vector<double>& sorted, double q) {
 InferenceEngine::InferenceEngine(std::shared_ptr<const ModelState> state,
                                  const EngineOptions& options)
     : options_(options),
+      state_(std::move(state)),
       mr_cache_(options.mr_cache_capacity,
                 options.cache_shards == 0 ? 1 : options.cache_shards) {
-  IMR_CHECK(state != nullptr);
-  state_.store(std::move(state), std::memory_order_release);
+  IMR_CHECK(state_ != nullptr);
   if (options_.threads > 0) {
     own_pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
@@ -80,7 +80,7 @@ util::StatusOr<std::unique_ptr<InferenceEngine>> InferenceEngine::Open(
 
 util::Status InferenceEngine::Reload(const std::string& snapshot_path) {
   // Load + prepare entirely off the request path: request threads keep
-  // serving the current generation until the single atomic store below.
+  // serving the current generation until the single pointer exchange below.
   auto snapshot = LoadSnapshot(snapshot_path);
   IMR_RETURN_IF_ERROR(snapshot.status());
   const std::shared_ptr<const ModelState> current = CurrentState();
@@ -94,7 +94,11 @@ util::Status InferenceEngine::Reload(const std::string& snapshot_path) {
 
 void InferenceEngine::SwapState(std::shared_ptr<const ModelState> state) {
   IMR_CHECK(state != nullptr);
-  state_.store(std::move(state), std::memory_order_release);
+  {
+    util::MutexLock lock(state_mutex_);
+    state_.swap(state);
+  }
+  // `state` now holds the previous generation, released outside the lock.
   // Old-generation cache entries are unreachable (keys embed the
   // generation); clear them eagerly so they stop squatting on capacity.
   // In-flight old-generation requests may still Put a few entries after

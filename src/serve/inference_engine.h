@@ -12,10 +12,10 @@
 //                         them as one PredictBatch
 //
 // Hot swap: the serving state is a std::shared_ptr<const ModelState> held
-// in an atomic slot. Every request loads the pointer once and uses only
-// that state, so SwapState()/Reload() replace the model with one atomic
-// store, in-flight requests drain on the generation they started with, and
-// no request ever observes a half-swapped model. See model_state.h for the
+// in a mutex-guarded slot. Every request copies the pointer once and uses
+// only that state, so SwapState()/Reload() replace the model with one
+// pointer exchange, in-flight requests drain on the generation they
+// started with, and no request ever observes a half-swapped model. See model_state.h for the
 // protocol; ServeRouter (router.h) drives swaps across N replicas.
 //
 // Mutual-relation vectors are served through an entity-pair-SHARDED LRU
@@ -203,12 +203,15 @@ class InferenceEngine {
 
   /// Publishes an already prepared state (ServeRouter shares one state
   /// across its replicas). The caller is responsible for validation.
-  void SwapState(std::shared_ptr<const ModelState> state);
+  void SwapState(std::shared_ptr<const ModelState> state)
+      IMR_EXCLUDES(state_mutex_);
 
   /// The state serving new requests right now. Holding the returned
   /// pointer keeps that generation alive across swaps.
-  [[nodiscard]] std::shared_ptr<const ModelState> CurrentState() const {
-    return state_.load(std::memory_order_acquire);
+  [[nodiscard]] std::shared_ptr<const ModelState> CurrentState() const
+      IMR_EXCLUDES(state_mutex_) {
+    util::MutexLock lock(state_mutex_);
+    return state_;
   }
 
   uint64_t generation() const { return CurrentState()->generation; }
@@ -261,9 +264,12 @@ class InferenceEngine {
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> own_pool_;  // only when options_.threads > 0
-  /// The RCU slot. libstdc++'s std::atomic<shared_ptr> serializes the
-  /// pointer swap internally; request threads pay one acquire load.
-  std::atomic<std::shared_ptr<const ModelState>> state_;
+  /// The RCU slot, locked only to copy or exchange the pointer. Not
+  /// std::atomic<shared_ptr>: libstdc++ 12's load() releases its internal
+  /// lock with a relaxed store, so a load and the next swap race on the
+  /// raw pointer (ThreadSanitizer reports it under hot-swap load).
+  mutable util::Mutex state_mutex_;
+  std::shared_ptr<const ModelState> state_ IMR_GUARDED_BY(state_mutex_);
 
   ShardedLruCache<MrCacheKey, std::vector<float>, MrCacheKeyHash> mr_cache_;
 

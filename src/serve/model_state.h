@@ -8,7 +8,7 @@
 // only that state for featurization, the mutual-relation vector, and the
 // model forward — so every response is consistent with exactly one
 // generation even while a swap is in flight. Publishing a new generation is
-// one atomic shared_ptr store; the old generation stays alive (and keeps
+// one shared_ptr exchange; the old generation stays alive (and keeps
 // serving its in-flight requests) until the last request drops its
 // reference, then frees on whatever thread held it last. No request ever
 // blocks on a reload.

@@ -197,7 +197,7 @@ util::Status ServeRouter::PublishLocked(
     last_reload_error_ = valid.message();
     return valid;
   }
-  // Publish: one atomic store per replica. In-flight requests drain on the
+  // Publish: one pointer exchange per replica. In-flight requests drain on the
   // generation they pinned; the old state frees when the last one returns —
   // which is also what keeps a delta's base mapping pinned until its last
   // borrower exits.

@@ -25,7 +25,7 @@
 //
 // Hot swap: Reload() loads and validates the new snapshot ONCE on the
 // calling thread, then publishes the resulting ModelState to every replica
-// with one atomic store each (InferenceEngine::SwapState). In-flight
+// with one pointer exchange each (InferenceEngine::SwapState). In-flight
 // requests drain on the generation they pinned at dispatch; zero requests
 // fail or block during a swap. SnapshotWatcher (snapshot_watcher.h) can
 // drive Reload() from file-change polling for hands-off rollouts.
@@ -120,7 +120,7 @@ class ServeRouter {
       std::vector<text::Sentence> sentences) const;
 
   /// Zero-downtime hot swap across all replicas: load + validate once,
-  /// then one atomic publish per replica. Serialized against concurrent
+  /// then one pointer exchange per replica. Serialized against concurrent
   /// Reload() calls; request traffic never blocks on it.
   [[nodiscard]] util::Status Reload(const std::string& snapshot_path)
       IMR_EXCLUDES(reload_mutex_);

@@ -40,15 +40,21 @@ class BufferPool;
 thread_local BufferPool* g_pool = nullptr;
 thread_local bool g_pool_destroyed = false;
 
-util::Mutex g_registry_mutex;
-std::vector<BufferPool*>& Registry() IMR_REQUIRES(g_registry_mutex) {
-  static std::vector<BufferPool*> registry;
-  return registry;
-}
-// Counters inherited from pools whose threads have exited.
-PoolStatsSnapshot& RetiredStats() IMR_REQUIRES(g_registry_mutex) {
-  static PoolStatsSnapshot retired;
-  return retired;
+// Every live pool, plus the counters inherited from pools whose threads have
+// exited.
+struct PoolRegistry {
+  util::Mutex mutex;
+  std::vector<BufferPool*> pools IMR_GUARDED_BY(mutex);
+  PoolStatsSnapshot retired IMR_GUARDED_BY(mutex);
+};
+
+// Created once and never destroyed: the global ThreadPool joins its workers
+// during static destruction, and each exiting worker's pool still
+// unregisters itself here, after function-local statics may be gone.
+PoolRegistry& Registry() {
+  static PoolRegistry* const registry =
+      new PoolRegistry();  // imr-lint: allow(no-naked-new)
+  return *registry;
 }
 
 /// One thread's private pool. Acquire/Release run lock-free on the owning
@@ -57,21 +63,22 @@ PoolStatsSnapshot& RetiredStats() IMR_REQUIRES(g_registry_mutex) {
 class BufferPool {
  public:
   BufferPool() {
-    util::MutexLock lock(g_registry_mutex);
-    Registry().push_back(this);
+    PoolRegistry& registry = Registry();
+    util::MutexLock lock(registry.mutex);
+    registry.pools.push_back(this);
   }
 
   ~BufferPool() {
     FreeAll();
-    util::MutexLock lock(g_registry_mutex);
-    PoolStatsSnapshot& retired = RetiredStats();
+    PoolRegistry& registry = Registry();
+    util::MutexLock lock(registry.mutex);
+    PoolStatsSnapshot& retired = registry.retired;
     retired.buffer_hits += buffer_hits_.load(std::memory_order_relaxed);
     retired.buffer_misses += buffer_misses_.load(std::memory_order_relaxed);
     retired.node_hits += node_hits_.load(std::memory_order_relaxed);
     retired.node_misses += node_misses_.load(std::memory_order_relaxed);
-    auto& registry = Registry();
-    registry.erase(std::remove(registry.begin(), registry.end(), this),
-                   registry.end());
+    std::vector<BufferPool*>& pools = registry.pools;
+    pools.erase(std::remove(pools.begin(), pools.end(), this), pools.end());
     g_pool = nullptr;
     g_pool_destroyed = true;
   }
@@ -215,20 +222,22 @@ class BufferPool {
 }  // namespace
 
 PoolStatsSnapshot PoolStats() {
-  util::MutexLock lock(g_registry_mutex);
-  PoolStatsSnapshot out = RetiredStats();
-  for (const BufferPool* pool : Registry()) pool->AddTo(&out);
+  PoolRegistry& registry = Registry();
+  util::MutexLock lock(registry.mutex);
+  PoolStatsSnapshot out = registry.retired;
+  for (const BufferPool* pool : registry.pools) pool->AddTo(&out);
   return out;
 }
 
 void ResetPoolStats() {
-  util::MutexLock lock(g_registry_mutex);
-  PoolStatsSnapshot& retired = RetiredStats();
+  PoolRegistry& registry = Registry();
+  util::MutexLock lock(registry.mutex);
+  PoolStatsSnapshot& retired = registry.retired;
   retired.buffer_hits = 0;
   retired.buffer_misses = 0;
   retired.node_hits = 0;
   retired.node_misses = 0;
-  for (BufferPool* pool : Registry()) pool->ResetCounters();
+  for (BufferPool* pool : registry.pools) pool->ResetCounters();
 }
 
 bool PoolEnabled() { return g_pool_enabled; }

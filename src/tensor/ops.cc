@@ -453,6 +453,33 @@ Tensor AffineTanh(const Tensor& x, const Tensor& weight, const Tensor& bias) {
       });
 }
 
+Tensor RowwiseAffine(const Tensor& x, const Tensor& weight,
+                     const Tensor& bias) {
+  IMR_CHECK(!GradModeEnabled());
+  const bool lhs_vector = (x.rank() == 1);
+  const int rows = lhs_vector ? 1 : x.shape()[0];
+  const int inner = lhs_vector ? x.shape()[0] : x.shape()[1];
+  IMR_CHECK_EQ(weight.rank(), 2);
+  IMR_CHECK_EQ(weight.shape()[0], inner);
+  const int cols = weight.shape()[1];
+  IMR_CHECK_EQ(static_cast<int>(bias.size()), cols);
+
+  // Always the ikj kernel: its per-element k-ascending sum does not depend
+  // on the row count, which is what MatMul's 1-row calls run too.
+  std::vector<float> out =
+      AcquireBufferFill(static_cast<size_t>(rows) * cols, 0.0f);
+  simd::Active().matmul_ikj(x.data().data(), weight.data().data(),
+                            out.data(), rows, inner, cols);
+  const float* bv = bias.data().data();
+  for (int r = 0; r < rows; ++r) {
+    float* orow = out.data() + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) orow[c] += bv[c];
+  }
+  std::vector<int> out_shape =
+      lhs_vector ? std::vector<int>{cols} : std::vector<int>{rows, cols};
+  return MakeResult(std::move(out_shape), std::move(out), {}, nullptr);
+}
+
 Tensor AddRowVector(const Tensor& m, const Tensor& v) {
   const int rows = m.rows();
   const int cols = m.cols();

@@ -43,6 +43,15 @@ Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training);
 /// result is rank-1 [C].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// Inference-only x @ weight + bias where every output row is computed as if
+/// its input row were alone: row i equals Add(MatMul(Row(x, i), weight),
+/// bias) bit for bit on every backend, whatever the row count. (MatMul
+/// itself switches to a packed panel kernel at 8+ rows, whose k-sum order
+/// differs on vector backends.) x: [R x K] or rank-1 [K]; weight: [K x C];
+/// bias: [C]. Records no graph; IMR_CHECKs that grad mode is off.
+Tensor RowwiseAffine(const Tensor& x, const Tensor& weight,
+                     const Tensor& bias);
+
 /// Adds a row vector v [C] (or [1 x C]) to every row of m [R x C].
 Tensor AddRowVector(const Tensor& m, const Tensor& v);
 

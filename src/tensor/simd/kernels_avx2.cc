@@ -400,7 +400,9 @@ void AnnCosineManyAvx2(const float* query, const float* base,
         qn8);
     _mm256_storeu_ps(out + r, v);
   }
-  for (; r < rows; ++r) out[r] *= inv_norms[r] * query_inv_norm;
+  // (dot * inv_norm) * query_inv_norm, as in the vector body: a duplicate
+  // row scores the same whether it lands in a lane or in the tail.
+  for (; r < rows; ++r) out[r] = out[r] * inv_norms[r] * query_inv_norm;
 }
 
 void AnnDotBatchAvx2(const float* queries, size_t num_queries,

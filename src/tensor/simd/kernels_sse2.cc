@@ -369,7 +369,9 @@ void AnnCosineManySse2(const float* query, const float* base,
         _mm_mul_ps(_mm_loadu_ps(out + r), _mm_loadu_ps(inv_norms + r)), qn4);
     _mm_storeu_ps(out + r, v);
   }
-  for (; r < rows; ++r) out[r] *= inv_norms[r] * query_inv_norm;
+  // (dot * inv_norm) * query_inv_norm, as in the vector body: a duplicate
+  // row scores the same whether it lands in a lane or in the tail.
+  for (; r < rows; ++r) out[r] = out[r] * inv_norms[r] * query_inv_norm;
 }
 
 void AnnDotBatchSse2(const float* queries, size_t num_queries,

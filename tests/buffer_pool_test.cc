@@ -1,13 +1,19 @@
 // Buffer-pool behaviour: bucket reuse and counters, the disabled-guard
 // bypass, bit-identity of pooled vs unpooled execution, EnsureGrad storage
 // stability, and the headline property the pool exists for — a warmed-up
-// training step and a cached serve Predict run with ZERO pool misses. The
-// final test migrates buffers across threads for TSan coverage.
+// training step and a cached serve Predict run with ZERO pool misses. A
+// Predict's pool traffic must not grow with the relation count (one pass
+// scores every relation). The last tests migrate buffers across threads
+// for TSan coverage and exit the process with live worker pools for ASan.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "datagen/presets.h"
@@ -283,6 +289,54 @@ TEST(BufferPoolTest, ZeroMissCachedServePredict) {
   util::SetGlobalThreads(saved_threads);
 }
 
+TEST(BufferPoolTest, PredictPoolTrafficIndependentOfRelationCount) {
+  const int saved_threads = util::GlobalThreads();
+  util::SetGlobalThreads(1);
+  datagen::PresetOptions preset;
+  preset.scale = 0.3;
+  preset.seed = 7;
+  datagen::SyntheticDataset dataset = datagen::MakeGdsLike(preset);
+  re::BagDatasetOptions bag_options;
+  bag_options.max_sentence_length = 40;
+  bag_options.max_position = 20;
+  re::BagDataset bags =
+      re::BagDataset::Build(dataset.world.graph, dataset.corpus.train,
+                            dataset.corpus.test, bag_options);
+  re::Bag bag = bags.train_bags().front();
+  bag.mutual_relation.assign(8, 0.25f);
+
+  // The same bag through the same encoder (same seed, encoder built first),
+  // PA-TMR heads sized to 5 and to 53 relations.
+  auto acquires = [&](int num_relations) {
+    re::PaModelConfig config;
+    config.num_relations = num_relations;
+    config.encoder = "pcnn";
+    config.aggregation = re::Aggregation::kAttention;
+    config.use_mutual_relation = true;
+    config.use_entity_type = true;
+    config.mutual_relation_dim = 8;
+    config.type_dim = 4;
+    config.encoder_config.vocab_size = bags.vocabulary().size();
+    config.encoder_config.word_dim = 8;
+    config.encoder_config.position_dim = 3;
+    config.encoder_config.max_position = 20;
+    config.encoder_config.filters = 8;
+    util::Rng rng(5);
+    re::PaModel model(config, &rng);
+    model.SetTraining(false);
+    model.Predict(bag);  // warm the pool
+    ResetPoolStats();
+    model.Predict(bag);
+    const tensor::PoolStatsSnapshot stats = PoolStats();
+    return stats.total_hits() + stats.total_misses();
+  };
+  const uint64_t small = acquires(5);
+  const uint64_t large = acquires(53);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large) << "pool acquisitions grew with num_relations";
+  util::SetGlobalThreads(saved_threads);
+}
+
 TEST(BufferPoolTest, CrossThreadMigrationIsSafe) {
   // Buffers acquired on worker threads and released on the main thread (and
   // vice versa) must be safe under TSan; counters stay readable throughout.
@@ -311,6 +365,35 @@ TEST(BufferPoolTest, CrossThreadMigrationIsSafe) {
   EXPECT_GT(stats.buffer_hits + stats.buffer_misses, 0u);
   TrimThreadPool();
   util::SetGlobalThreads(saved_threads);
+}
+
+// Process exit joins the global pool's workers during static destruction,
+// and each worker's thread-local pool then unregisters itself. The pool
+// registry must still be alive at that point (under ASan a destroyed one is
+// a heap-use-after-free and the child exits nonzero).
+TEST(BufferPoolDeathTest, ExitWithLiveWorkerPoolsIsClean) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        util::SetGlobalThreads(4);
+        std::atomic<int> started{0};
+        util::GlobalPool().ParallelForChunks(
+            0, 4, 1, [&](int64_t lo, int64_t, int64_t) {
+              // Hold each chunk until all four run, so every thread takes
+              // one and builds its own pool.
+              started.fetch_add(1);
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(10);
+              while (started.load() < 4 &&
+                     std::chrono::steady_clock::now() < deadline) {
+                std::this_thread::yield();
+              }
+              Tensor x = Tensor::Full({4, 4}, static_cast<float>(lo + 1));
+              tensor::Sum(tensor::MatMul(x, x));
+            });
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -150,6 +150,7 @@ TEST(DeepWalkTest, DeterministicForSeed) {
   graph::DeepWalkConfig config;
   config.dim = 8;
   config.walks_per_vertex = 3;
+  config.threads = 1;  // only one thread is bit-exact (Hogwild otherwise)
   auto a = graph::TrainDeepWalk(graph, config);
   auto b = graph::TrainDeepWalk(graph, config);
   EXPECT_EQ(a.flat(), b.flat());
@@ -198,6 +199,7 @@ TEST(Node2VecTest, RowsAreUnitNormAndDeterministic) {
   config.walks_per_vertex = 3;
   config.p = 0.5;
   config.q = 2.0;
+  config.threads = 1;  // only one thread is bit-exact (Hogwild otherwise)
   auto a = graph::TrainNode2Vec(graph, config);
   auto b = graph::TrainNode2Vec(graph, config);
   EXPECT_EQ(a.flat(), b.flat());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "datagen/presets.h"
@@ -16,6 +18,8 @@
 #include "re/multir.h"
 #include "re/pa_model.h"
 #include "re/trainer.h"
+#include "tensor/ops.h"
+#include "tensor/simd/dispatch.h"
 
 namespace imr::re {
 namespace {
@@ -219,6 +223,58 @@ TEST(PaModelTest, FullFusionGradCheck) {
       &model, [&] { return model.BatchLoss(batch, &rng); }, 1e-2, 8);
   EXPECT_LT(result.max_abs_diff, 3e-2)
       << result.worst_parameter << "[" << result.worst_index << "]";
+}
+
+// Predict scores every relation in one pass (stacked attention, one RE-head
+// GEMM, C_MR / C_T once per bag). Entry r must stay bit-identical to the
+// single-query computation, on every backend: a stacked head that took
+// MatMul's packed panel path (8+ rows) would reorder the k-sum on vector
+// backends and fail here at R = 53.
+TEST(PaModelTest, PredictMatchesPerRelationBagLogitsBitForBit) {
+  Fixture& f = SharedFixture();
+  f.AttachMr();
+  const Bag& source = f.bags->train_bags().front();
+  std::vector<nn::EncoderInput> sentences;
+  for (const Bag& bag : f.bags->train_bags()) {
+    for (const nn::EncoderInput& sentence : bag.sentences) {
+      if (sentences.size() < 8) sentences.push_back(sentence);
+    }
+  }
+  ASSERT_EQ(sentences.size(), 8u);
+  const auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
+  for (int num_relations : {5, 53}) {
+    for (bool use_mr : {false, true}) {
+      for (bool use_type : {false, true}) {
+        PaModelConfig config = f.SmallModelConfig(
+            "pcnn", Aggregation::kAttention, use_mr, use_type);
+        config.num_relations = num_relations;
+        util::Rng rng(89);
+        PaModel model(config, &rng);
+        model.SetTraining(false);
+        for (size_t size : {1u, 2u, 8u}) {
+          Bag bag = source;
+          bag.sentences.assign(sentences.begin(),
+                               sentences.begin() + static_cast<long>(size));
+          for (tensor::simd::Backend backend :
+               tensor::simd::SupportedBackends()) {
+            tensor::simd::ScopedEvalBackend pin(backend);
+            const std::vector<float> probs = model.Predict(bag);
+            ASSERT_EQ(probs.size(), static_cast<size_t>(num_relations));
+            tensor::NoGradGuard no_grad;
+            for (int r = 0; r < num_relations; ++r) {
+              const float expected =
+                  tensor::Softmax(model.BagLogits(bag, r, nullptr)).at(r);
+              EXPECT_EQ(bits(probs[static_cast<size_t>(r)]), bits(expected))
+                  << "R=" << num_relations << " mr=" << use_mr
+                  << " type=" << use_type << " sentences=" << size
+                  << " backend=" << tensor::simd::BackendName(backend)
+                  << " r=" << r;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PaModelTest, AverageAndMaxAggregations) {

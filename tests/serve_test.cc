@@ -59,6 +59,9 @@ struct ServeFixture {
     graph::LineConfig line;
     line.dim = 32;
     line.samples_per_edge = 150;
+    // One thread is LINE's bit-exact path; Hogwild on every core would make
+    // the fixture, and so the exact int8/fp32 top-1 check, vary by load.
+    line.threads = 1;
     embeddings = graph::TrainLine(proximity, line);
     IMR_CHECK(bags->AttachMutualRelations(embeddings).ok());
 
@@ -684,10 +687,14 @@ TEST(ShardedCacheTest, ClearEmptiesEveryShard) {
 
 TEST(EngineShardingTest, ShardCountsAreBitIdentical) {
   ServeFixture& f = Shared();
+  // One batch thread each: with concurrent batch workers two requests for
+  // one pair can both miss the cache, so hit counts would vary by schedule.
   serve::EngineOptions one_shard;
   one_shard.cache_shards = 1;
+  one_shard.threads = 1;
   serve::EngineOptions many_shards;
   many_shards.cache_shards = 16;
+  many_shards.threads = 1;
   auto engine_one = serve::InferenceEngine::Open(f.snapshot_path, one_shard);
   auto engine_many =
       serve::InferenceEngine::Open(f.snapshot_path, many_shards);
