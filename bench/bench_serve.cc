@@ -1,10 +1,10 @@
 // Serving benchmark: trains a small PA-TMR pipeline, snapshots it, and
 // drives the serve tier through a scenario matrix:
 //
-//   engine-*   the bare InferenceEngine (pre-router behavior): sync t1 is
-//              the single-client latency floor, batch t4 oversubscribes
-//              the cores and shows the tail blowup the router exists to
-//              fix (~50x p99 on a 1-core host)
+//   engine-sync t1
+//              one client calling a bare InferenceEngine::Predict on its
+//              own thread: the single-client latency floor the tail gate
+//              measures the router against
 //   router-*   ServeRouter cells: {sync, batch, async} x replicas {1, 4}
 //              x cache shards {1, 8}, total worker count pinned at 4, plus
 //              int8-quantized variants. Admission control bounds
@@ -74,7 +74,7 @@ struct Cell {
   std::string mode;   // "sync" | "batch" | "async"
   int replicas = 1;
   int shards = 1;
-  int workers = 1;    // engine: pool threads; router: total worker threads
+  int workers = 1;    // serving threads (router: total workers)
   bool quantized = false;
   serve::EngineStats stats;
   double hit_rate = 0.0;
@@ -111,48 +111,24 @@ serve::Query BagToQuery(const re::Bag& bag,
   return query;
 }
 
-// Pre-router baseline: the bare engine with an oversubscribed pool.
-Cell RunEngineCell(const std::string& mode, int threads,
-                   const std::string& snapshot_path,
-                   const std::vector<serve::Query>& requests,
-                   bool quantized) {
+// The single-client floor: one thread calling a bare engine's Predict,
+// with no router, queue or admission in the way.
+Cell RunEngineSyncCell(const std::string& snapshot_path,
+                       const std::vector<serve::Query>& requests) {
   serve::EngineOptions options;
-  options.threads = threads;
   options.top_k = 1;
-  options.quantized = quantized;
   options.cache_shards = 1;  // the old single-mutex cache shape
   auto engine = serve::InferenceEngine::Open(snapshot_path, options);
   CheckOk(engine.status());
 
   Cell cell;
-  if (mode == "sync") {
-    for (const serve::Query& query : requests) {
-      auto prediction = (*engine)->Predict(query);
-      CheckOk(prediction.status());
-      ++cell.ok;
-    }
-  } else if (mode == "batch") {
-    auto predictions = (*engine)->PredictBatch(requests);
-    for (const auto& prediction : predictions) {
-      CheckOk(prediction.status());
-      ++cell.ok;
-    }
-  } else {  // async
-    std::vector<std::future<util::StatusOr<serve::Prediction>>> futures;
-    futures.reserve(requests.size());
-    for (const serve::Query& query : requests)
-      futures.push_back((*engine)->SubmitAsync(query));
-    for (auto& future : futures) {
-      CheckOk(future.get().status());
-      ++cell.ok;
-    }
+  for (const serve::Query& query : requests) {
+    CheckOk((*engine)->Predict(query).status());
+    ++cell.ok;
   }
-  cell.name = std::string(quantized ? "q-" : "") + "engine-" + mode + " t" +
-              std::to_string(threads);
+  cell.name = "engine-sync t1";
   cell.tier = "engine";
-  cell.mode = mode;
-  cell.workers = threads;
-  cell.quantized = quantized;
+  cell.mode = "sync";
   cell.stats = (*engine)->Stats();
   cell.hit_rate = HitRate(cell.stats);
   return cell;
@@ -588,7 +564,6 @@ struct QuantizedGate {
 QuantizedGate RunQuantizedGate(const std::string& snapshot_path,
                                const std::vector<serve::Query>& requests) {
   serve::EngineOptions fp32_options;
-  fp32_options.threads = 1;
   auto fp32_engine = serve::InferenceEngine::Open(snapshot_path, fp32_options);
   CheckOk(fp32_engine.status());
   serve::EngineOptions quant_options = fp32_options;
@@ -753,10 +728,8 @@ int Run(bool smoke) {
 
   // --- scenario matrix ----------------------------------------------------
   std::vector<Cell> cells;
-  // Pre-router baseline: the single-client floor and the oversubscription
-  // tail blowup the router was built to remove.
-  cells.push_back(RunEngineCell("sync", 1, snapshot_path, requests, false));
-  cells.push_back(RunEngineCell("batch", 4, snapshot_path, requests, false));
+  // The single-client floor the tail gate divides by.
+  cells.push_back(RunEngineSyncCell(snapshot_path, requests));
   // Gate-relevant router cells.
   cells.push_back(
       RunRouterCell("batch", 1, 1, snapshot_path, requests, false));
@@ -765,8 +738,6 @@ int Run(bool smoke) {
   cells.push_back(
       RunRouterCell("batch", 4, 8, snapshot_path, requests, false));
   if (!smoke) {
-    cells.push_back(
-        RunEngineCell("async", 4, snapshot_path, requests, false));
     cells.push_back(
         RunRouterCell("sync", 1, 1, snapshot_path, requests, false));
     cells.push_back(

@@ -9,14 +9,15 @@
 //       drawn from the held-out split).
 //
 //   imr_serve query --workdir DIR [--queries FILE.tsv] [--top_k 3]
-//                   [--threads 0] [--async] [--max_batch 32]
-//                   [--batch_delay_us 200] [--cache 4096]
-//       loads DIR/model.imrs, answers every query in the TSV, prints the
-//       top-k relations per entity pair and the engine's latency counters.
+//                   [--replicas 1] [--workers 1] [--cache_shards 8]
+//                   [--cache 4096]
+//       loads DIR/model.imrs into a ServeRouter, answers every query in the
+//       TSV as one batch, prints the top-k relations per entity pair and
+//       the router's latency counters.
 //
 //   imr_serve serve --workdir DIR [--replicas 1] [--workers 1]
-//                   [--cache_shards 8] [--max_queue 1024] [--deadline_us 0]
-//                   [--watch_ms 0]
+//                   [--cache_shards 8] [--cache 4096] [--max_queue 1024]
+//                   [--deadline_us 0] [--watch_ms 0]
 //       interactive serving loop over a sharded ServeRouter. Reads
 //       commands from stdin, one per line:
 //         <query TSV line>        answer one query (format below)
@@ -45,15 +46,15 @@ using namespace imr;  // example code; library code never does this
 namespace {
 
 constexpr const char* kUsage =
-    "usage: imr_serve <train-demo|query> [flags]\n"
+    "usage: imr_serve <train-demo|query|serve> [flags]\n"
     "  train-demo --workdir DIR [--preset nyt|gds] [--scale S]\n"
     "             [--epochs N] [--seed S]\n"
     "  query      --workdir DIR [--queries FILE.tsv] [--top_k K]\n"
-    "             [--threads N] [--async] [--max_batch B]\n"
-    "             [--batch_delay_us U] [--cache C]\n"
+    "             [--replicas R] [--workers W] [--cache_shards S]\n"
+    "             [--cache C]\n"
     "  serve      --workdir DIR [--replicas R] [--workers W]\n"
-    "             [--cache_shards S] [--max_queue Q] [--deadline_us D]\n"
-    "             [--watch_ms N]\n";
+    "             [--cache_shards S] [--cache C] [--max_queue Q]\n"
+    "             [--deadline_us D] [--watch_ms N]\n";
 
 int Fail(const util::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -183,19 +184,17 @@ util::StatusOr<std::vector<QueryLine>> ReadQueryFile(
   return lines;
 }
 
-// Extended counter dump shared by `query` and `serve`: latency
-// percentiles, per-shard cache traffic, and (router only) admission
-// counters.
+// Counter dump shared by `query` and `serve`: latency percentiles,
+// per-shard cache traffic, and admission counters.
 void PrintStats(const serve::EngineStats& stats) {
   std::printf(
-      "gen=%llu requests=%llu batches=%llu; mr-cache %llu hit / %llu miss\n"
+      "gen=%llu requests=%llu; mr-cache %llu hit / %llu miss\n"
       "latency us: mean=%.0f p50=%.0f p99=%.0f p999=%.0f max=%.0f; "
       "qps=%.0f\n"
       "admission: queue depth=%llu peak=%llu admitted=%llu rejected=%llu "
       "shed=%llu\n",
       static_cast<unsigned long long>(stats.generation),
       static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.batches),
       static_cast<unsigned long long>(stats.mr_cache_hits),
       static_cast<unsigned long long>(stats.mr_cache_misses),
       stats.mean_latency_us, stats.p50_latency_us, stats.p99_latency_us,
@@ -214,19 +213,29 @@ void PrintStats(const serve::EngineStats& stats) {
   std::printf("  (hits/misses)\n");
 }
 
+// Router shape and engine options shared by `query` and `serve`.
+serve::RouterOptions RouterOptionsFromFlags(const util::FlagParser& flags) {
+  serve::RouterOptions options;
+  options.replicas = static_cast<int>(flags.GetInt("replicas"));
+  options.workers_per_replica = static_cast<int>(flags.GetInt("workers"));
+  options.engine.top_k = static_cast<int>(flags.GetInt("top_k"));
+  options.engine.cache_shards = static_cast<size_t>(
+      flags.GetInt("cache_shards"));
+  options.engine.mr_cache_capacity =
+      static_cast<size_t>(flags.GetInt("cache"));
+  return options;
+}
+
 int Query(const util::FlagParser& flags) {
   const std::string dir = flags.GetString("workdir");
   std::string queries_path = flags.GetString("queries");
   if (queries_path.empty()) queries_path = dir + "/queries.tsv";
 
-  serve::EngineOptions options;
-  options.top_k = static_cast<int>(flags.GetInt("top_k"));
-  options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.max_batch = static_cast<int>(flags.GetInt("max_batch"));
-  options.batch_delay_us = static_cast<int>(flags.GetInt("batch_delay_us"));
-  options.mr_cache_capacity = static_cast<size_t>(flags.GetInt("cache"));
-  auto engine = serve::InferenceEngine::Open(dir + "/model.imrs", options);
-  if (!engine.ok()) return Fail(engine.status());
+  serve::RouterOptions options = RouterOptionsFromFlags(flags);
+  // The whole file is one batch the caller waits on: admit all of it.
+  options.admission.max_queue = 0;
+  auto router = serve::ServeRouter::Open(dir + "/model.imrs", options);
+  if (!router.ok()) return Fail(router.status());
 
   auto lines = ReadQueryFile(queries_path);
   if (!lines.ok()) return Fail(lines.status());
@@ -238,7 +247,7 @@ int Query(const util::FlagParser& flags) {
     if (pair_names.empty() || pair_names.back().first != parsed.head ||
         pair_names.back().second != parsed.tail) {
       auto query =
-          (*engine)->MakeQuery(parsed.head, parsed.tail, {parsed.sentence});
+          (*router)->MakeQuery(parsed.head, parsed.tail, {parsed.sentence});
       if (!query.ok()) return Fail(query.status());
       queries.push_back(std::move(*query));
       pair_names.emplace_back(parsed.head, parsed.tail);
@@ -250,18 +259,8 @@ int Query(const util::FlagParser& flags) {
     }
   }
 
-  const bool use_async = flags.GetBool("async");
-  std::vector<util::StatusOr<serve::Prediction>> results;
-  if (use_async) {
-    std::vector<std::future<util::StatusOr<serve::Prediction>>> futures;
-    futures.reserve(queries.size());
-    for (serve::Query& query : queries) {
-      futures.push_back((*engine)->SubmitAsync(std::move(query)));
-    }
-    for (auto& future : futures) results.push_back(future.get());
-  } else {
-    results = (*engine)->PredictBatch(queries);
-  }
+  const std::vector<util::StatusOr<serve::Prediction>> results =
+      (*router)->PredictBatch(queries);
 
   for (size_t i = 0; i < results.size(); ++i) {
     std::printf("(%s, %s)", pair_names[i].first.c_str(),
@@ -276,9 +275,8 @@ int Query(const util::FlagParser& flags) {
     std::printf("\n");
   }
 
-  std::printf("\nmode: %s\n",
-              use_async ? "async micro-batched" : "one PredictBatch");
-  PrintStats((*engine)->Stats());
+  std::printf("\n");
+  PrintStats((*router)->Stats().aggregate);
   return 0;
 }
 
@@ -289,14 +287,7 @@ int Serve(const util::FlagParser& flags) {
   const std::string dir = flags.GetString("workdir");
   const std::string snapshot_path = dir + "/model.imrs";
 
-  serve::RouterOptions options;
-  options.replicas = static_cast<int>(flags.GetInt("replicas"));
-  options.workers_per_replica = static_cast<int>(flags.GetInt("workers"));
-  options.engine.top_k = static_cast<int>(flags.GetInt("top_k"));
-  options.engine.cache_shards = static_cast<size_t>(
-      flags.GetInt("cache_shards"));
-  options.engine.mr_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache"));
+  serve::RouterOptions options = RouterOptionsFromFlags(flags);
   options.admission.max_queue =
       static_cast<size_t>(flags.GetInt("max_queue"));
   options.admission.deadline_us = flags.GetInt("deadline_us");
@@ -433,15 +424,12 @@ int main(int argc, char** argv) {
   flags.AddInt("seed", 7, "generator + init seed (train-demo)");
   flags.AddInt("epochs", 12, "training epochs (train-demo)");
   flags.AddString("queries", "", "query TSV (default workdir/queries.tsv)");
-  flags.AddInt("top_k", 3, "relations printed per pair (query)");
-  flags.AddInt("threads", 0, "engine threads; 0 = shared global pool");
-  flags.AddBool("async", false, "use SubmitAsync micro-batching (query)");
-  flags.AddInt("max_batch", 32, "micro-batch flush size (query --async)");
-  flags.AddInt("batch_delay_us", 200, "micro-batch linger (query --async)");
-  flags.AddInt("cache", 4096, "mutual-relation LRU capacity (query)");
-  flags.AddInt("replicas", 1, "engine replicas behind the router (serve)");
-  flags.AddInt("workers", 1, "worker threads per replica (serve)");
-  flags.AddInt("cache_shards", 8, "MR-cache shard count (serve)");
+  flags.AddInt("top_k", 3, "relations printed per pair (query, serve)");
+  flags.AddInt("cache", 4096,
+               "mutual-relation LRU capacity per replica (query, serve)");
+  flags.AddInt("replicas", 1, "engine replicas behind the router");
+  flags.AddInt("workers", 1, "worker threads per replica");
+  flags.AddInt("cache_shards", 8, "MR-cache shard count per replica");
   flags.AddInt("max_queue", 1024,
                "per-replica queue bound; 0 = unbounded (serve)");
   flags.AddInt("deadline_us", 0,

@@ -3,7 +3,8 @@
 # gate (zero pool misses, zero dense full-table gradient scans in a
 # warmed-up training step, no silent scalar kernel fallback), the serving
 # SLO smoke gate (router tail latency, sharded cache hit rate, zero-failure
-# hot swap, int8 parity), the end-to-end benchmark smoke (served responses
+# hot swap, int8 parity), the imr_serve CLI (query, then serve with a hot
+# reload), the end-to-end benchmark smoke (served responses
 # bit-exact vs the reference, AUC floors, recorded train losses), the ANN
 # smoke gate (IVF recall@10 vs exact, sub-millisecond p99 at 100k
 # entities), the SIMD backend matrix (full ctest under every compiled
@@ -79,6 +80,39 @@ if [ -x build/bench/bench_serve ]; then
   run_stage "serve-smoke" build/bench/bench_serve --smoke
 else
   record "serve-smoke" SKIP
+fi
+
+# 1b'''''. Serving CLI: trains a tiny demo snapshot, answers its sample
+# queries with `imr_serve query`, then drives `imr_serve serve` over stdin
+# (three query lines, stats, a hot reload, quit). Fails if a command exits
+# nonzero, prints an `error:` line, answers no pair, or the reload does not
+# publish generation 2.
+serve_cli() {
+  local dir query_out="" serve_out="" answered=0 status=1
+  dir="$(mktemp -d)" || return 1
+  if build/examples/imr_serve train-demo --workdir "$dir" --scale 0.2 \
+       --epochs 1 >/dev/null \
+     && query_out="$(build/examples/imr_serve query --workdir "$dir")" \
+     && serve_out="$({ head -n 3 "$dir/queries.tsv"; echo stats;
+                       echo "reload $dir/model.imrs"; echo quit; } \
+                     | build/examples/imr_serve serve --workdir "$dir" \
+                         --replicas 2 --workers 2)"; then
+    answered="$(grep -c '^(' <<<"$query_out")"
+    if [ "$answered" -ge 1 ] \
+       && ! grep -q 'error:' <<<"$query_out$serve_out" \
+       && grep -q 'now serving generation 2' <<<"$serve_out"; then
+      status=0
+    fi
+  fi
+  echo "query answered $answered pairs"
+  printf '%s\n' "$serve_out"
+  rm -rf "$dir"
+  return "$status"
+}
+if [ -x build/examples/imr_serve ]; then
+  run_stage "serve-cli" serve_cli
+else
+  record "serve-cli" SKIP
 fi
 
 # 1b'''. Snapshot format compatibility: the SnapshotCompat* suite proves

@@ -1,10 +1,9 @@
 // Admission control for the serve tier: bounded per-replica queues with
 // backpressure, a queue-wait deadline that sheds work past its SLO budget,
 // and a global execution-slot semaphore that bounds how many model
-// forwards run concurrently (oversubscribing cores is what blew the p99
-// tail up 50x in the pre-router engine — time-slicing four forwards on one
-// core multiplies every request's wall latency by the multiprogramming
-// level).
+// forwards run concurrently (more forwards than cores time-slice each
+// other, which multiplies every request's wall latency by the
+// multiprogramming level).
 //
 // Request lifecycle (the admission state machine, see DESIGN.md §12):
 //

@@ -1,7 +1,6 @@
 #include "serve/inference_engine.h"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 #include <utility>
 
@@ -40,56 +39,17 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const ModelState> state,
       mr_cache_(options.mr_cache_capacity,
                 options.cache_shards == 0 ? 1 : options.cache_shards) {
   IMR_CHECK(state_ != nullptr);
-  if (options_.threads > 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
-  if (options_.latency_samples > 0) {
-    latency_ring_.reserve(options_.latency_samples);
-  }
-}
-
-InferenceEngine::InferenceEngine(Snapshot snapshot,
-                                 const EngineOptions& options)
-    : InferenceEngine(
-          [&] {
-            auto state = ModelState::Create(std::move(snapshot),
-                                            options.quantized,
-                                            /*generation=*/1);
-            IMR_CHECK(state.ok());
-            return std::move(*state);
-          }(),
-          options) {}
-
-InferenceEngine::~InferenceEngine() {
-  bool join_dispatcher = false;
-  {
-    util::MutexLock lock(queue_mutex_);
-    stop_ = true;
-    join_dispatcher = dispatcher_started_;
-  }
-  queue_cv_.NotifyAll();
-  if (join_dispatcher) dispatcher_.join();
+  latency_ring_.reserve(kLatencySamples);
 }
 
 util::StatusOr<std::unique_ptr<InferenceEngine>> InferenceEngine::Open(
     const std::string& snapshot_path, const EngineOptions& options) {
   auto snapshot = LoadSnapshot(snapshot_path);
   IMR_RETURN_IF_ERROR(snapshot.status());
-  return std::make_unique<InferenceEngine>(std::move(*snapshot), options);
-}
-
-util::Status InferenceEngine::Reload(const std::string& snapshot_path) {
-  // Load + prepare entirely off the request path: request threads keep
-  // serving the current generation until the single pointer exchange below.
-  auto snapshot = LoadSnapshot(snapshot_path);
-  IMR_RETURN_IF_ERROR(snapshot.status());
-  const std::shared_ptr<const ModelState> current = CurrentState();
-  auto next = ModelState::Create(std::move(*snapshot), options_.quantized,
-                                 current->generation + 1);
-  IMR_RETURN_IF_ERROR(next.status());
-  IMR_RETURN_IF_ERROR(ModelState::ValidateSwap(*current, **next));
-  SwapState(std::move(*next));
-  return util::OkStatus();
+  auto state = ModelState::Create(std::move(*snapshot), options.quantized,
+                                  /*generation=*/1);
+  IMR_RETURN_IF_ERROR(state.status());
+  return std::make_unique<InferenceEngine>(std::move(*state), options);
 }
 
 void InferenceEngine::SwapState(std::shared_ptr<const ModelState> state) {
@@ -104,10 +64,6 @@ void InferenceEngine::SwapState(std::shared_ptr<const ModelState> state) {
   // In-flight old-generation requests may still Put a few entries after
   // this — they are equally unreachable and age out through the LRU.
   mr_cache_.Clear();
-}
-
-util::ThreadPool& InferenceEngine::pool() {
-  return own_pool_ ? *own_pool_ : util::GlobalPool();
 }
 
 util::StatusOr<re::Bag> InferenceEngine::BuildBag(const ModelState& state,
@@ -197,7 +153,7 @@ util::StatusOr<re::Bag> InferenceEngine::BuildBag(const ModelState& state,
   return bag;
 }
 
-util::StatusOr<Prediction> InferenceEngine::PredictOne(const Query& query) {
+util::StatusOr<Prediction> InferenceEngine::Predict(const Query& query) {
   // One pointer load pins the generation for the whole request: the bag,
   // the MR vector, and the forward pass all come from `state`, so the
   // response is consistent with exactly this generation even when a swap
@@ -215,7 +171,7 @@ util::StatusOr<Prediction> InferenceEngine::PredictOne(const Query& query) {
   // pass used (so the blend is consistent with this generation's
   // embeddings, cached or not).
   const re::KnnPredictor* knn = state->snapshot.knn.get();
-  if (options_.knn && knn != nullptr &&
+  if (knn != nullptr &&
       static_cast<int>(bag->mutual_relation.size()) == knn->dim() &&
       static_cast<int>(prediction.probabilities.size()) ==
           knn->num_relations()) {
@@ -261,13 +217,11 @@ util::StatusOr<Prediction> InferenceEngine::PredictOne(const Query& query) {
     util::MutexLock lock(stats_mutex_);
     latency_sum_us_ += prediction.latency_us;
     latency_max_us_ = std::max(latency_max_us_, prediction.latency_us);
-    if (options_.latency_samples > 0) {
-      if (latency_ring_.size() < options_.latency_samples) {
-        latency_ring_.push_back(prediction.latency_us);
-      } else {
-        latency_ring_[latency_next_] = prediction.latency_us;
-        latency_next_ = (latency_next_ + 1) % options_.latency_samples;
-      }
+    if (latency_ring_.size() < kLatencySamples) {
+      latency_ring_.push_back(prediction.latency_us);
+    } else {
+      latency_ring_[latency_next_] = prediction.latency_us;
+      latency_next_ = (latency_next_ + 1) % kLatencySamples;
     }
     if (!first_request_seen_) {
       first_request_seen_ = true;
@@ -276,101 +230,6 @@ util::StatusOr<Prediction> InferenceEngine::PredictOne(const Query& query) {
     last_completion_time_ = end;
   }
   return prediction;
-}
-
-util::StatusOr<Prediction> InferenceEngine::Predict(const Query& query) {
-  return PredictOne(query);
-}
-
-std::vector<util::StatusOr<Prediction>> InferenceEngine::PredictBatch(
-    const std::vector<Query>& queries) {
-  const int64_t n = static_cast<int64_t>(queries.size());
-  std::vector<util::StatusOr<Prediction>> results(
-      queries.size(),
-      util::StatusOr<Prediction>(util::Internal("query not executed")));
-  if (n == 0) return results;
-  util::ThreadPool& workers = pool();
-  if (workers.threads() <= 1 || n == 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      results[static_cast<size_t>(i)] =
-          PredictOne(queries[static_cast<size_t>(i)]);
-    }
-    return results;
-  }
-  workers.ParallelFor(0, n, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      results[static_cast<size_t>(i)] =
-          PredictOne(queries[static_cast<size_t>(i)]);
-    }
-  });
-  return results;
-}
-
-std::future<util::StatusOr<Prediction>> InferenceEngine::SubmitAsync(
-    Query query) {
-  std::future<util::StatusOr<Prediction>> future;
-  {
-    util::MutexLock lock(queue_mutex_);
-    IMR_CHECK(!stop_);
-    EnsureDispatcherLocked();
-    queue_.push_back(PendingRequest{std::move(query), {}});
-    future = queue_.back().promise.get_future();
-  }
-  queue_cv_.NotifyAll();
-  return future;
-}
-
-void InferenceEngine::EnsureDispatcherLocked() {
-  if (dispatcher_started_) return;
-  dispatcher_started_ = true;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-void InferenceEngine::DispatchLoop() {
-  // Explicit Lock/Unlock rather than RAII: the lock is dropped across batch
-  // execution in the middle of the loop body, which a scoped lock cannot
-  // express (and which keeps the thread-safety analysis loop-consistent:
-  // queue_mutex_ is held at the top of every iteration).
-  queue_mutex_.Lock();
-  while (true) {
-    while (!stop_ && queue_.empty()) queue_cv_.Wait(queue_mutex_);
-    if (queue_.empty()) {  // stop requested and nothing left to flush
-      queue_mutex_.Unlock();
-      return;
-    }
-    // Micro-batch window: linger briefly for more requests so bursts
-    // coalesce into one parallel pass, but never past the flush deadline.
-    if (!stop_ && options_.batch_delay_us > 0 &&
-        static_cast<int>(queue_.size()) < options_.max_batch) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(options_.batch_delay_us);
-      while (!stop_ &&
-             static_cast<int>(queue_.size()) < options_.max_batch) {
-        if (!queue_cv_.WaitUntil(queue_mutex_, deadline)) break;  // timed out
-      }
-    }
-    const size_t take = std::min(
-        queue_.size(), static_cast<size_t>(std::max(options_.max_batch, 1)));
-    std::vector<PendingRequest> batch;
-    batch.reserve(take);
-    std::move(queue_.begin(), queue_.begin() + static_cast<long>(take),
-              std::back_inserter(batch));
-    queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));
-    queue_mutex_.Unlock();
-
-    std::vector<Query> queries;
-    queries.reserve(batch.size());
-    for (PendingRequest& request : batch) {
-      queries.push_back(std::move(request.query));
-    }
-    std::vector<util::StatusOr<Prediction>> results = PredictBatch(queries);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    queue_mutex_.Lock();
-  }
 }
 
 util::StatusOr<Query> InferenceEngine::MakeQuery(
@@ -417,7 +276,6 @@ std::vector<double> InferenceEngine::LatencySamples() const {
 EngineStats InferenceEngine::Stats() const {
   EngineStats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
   stats.knn_fired = knn_fired_.load(std::memory_order_relaxed);
   stats.cache_shards = mr_cache_.ShardStats();
   for (const CacheShardStats& shard : stats.cache_shards) {

@@ -1,41 +1,39 @@
-// Batched inference serving over a loaded model snapshot — the paper's
-// pipeline with all training machinery stripped away. The engine serves an
-// immutable ModelState (eval-mode model, dropout off, no Rng anywhere on
-// the hot path), featurizes queries exactly as BagDataset did at training
-// time, and offers three calling conventions:
+// The per-replica scorer behind ServeRouter — the paper's pipeline with all
+// training machinery stripped away. An engine serves an immutable
+// ModelState (eval-mode model, dropout off, no Rng anywhere on the hot
+// path), featurizes queries exactly as BagDataset did at training time, and
+// scores one query per Predict call:
 //
-//   Predict(query)        synchronous, single request
-//   PredictBatch(queries) one parallel pass over util::ThreadPool
-//   SubmitAsync(query)    enqueue; a dispatcher thread coalesces queued
-//                         requests into micro-batches (flushed at
-//                         max_batch or after batch_delay_us) and executes
-//                         them as one PredictBatch
+//   BuildBag -> MR cache -> PaModel::Predict -> kNN blend -> top-k
+//
+// The engine owns no threads and no queue. ServeRouter (router.h) is the
+// request path: admission, per-replica queues and workers, and hot swap
+// across replicas; its workers call Predict. Tests and benches that want a
+// single-threaded reference call Predict on a bare engine directly.
 //
 // Hot swap: the serving state is a std::shared_ptr<const ModelState> held
 // in a mutex-guarded slot. Every request copies the pointer once and uses
-// only that state, so SwapState()/Reload() replace the model with one
-// pointer exchange, in-flight requests drain on the generation they
-// started with, and no request ever observes a half-swapped model. See model_state.h for the
-// protocol; ServeRouter (router.h) drives swaps across N replicas.
+// only that state, so SwapState() replaces the model with one pointer
+// exchange, in-flight requests drain on the generation they started with,
+// and no request ever observes a half-swapped model. See model_state.h for
+// the protocol.
 //
 // Mutual-relation vectors are served through an entity-pair-SHARDED LRU
 // cache (sharded_cache.h): hash(generation, e1, e2) picks a shard, each
-// shard has its own mutex, so concurrent serving threads no longer
-// serialize on one global cache lock. Cache keys embed the generation, so
-// a swap can never mix one generation's MR vector into another's forward
-// pass. Cached and uncached paths are bit-identical (the MR vector is a
-// pure function of the embedding rows), and prediction itself is
-// deterministic at any thread count — each query is scored independently.
+// shard has its own mutex, so concurrent router workers do not serialize
+// on one global cache lock. Cache keys embed the generation, so a swap can
+// never mix one generation's MR vector into another's forward pass. Cached
+// and uncached paths are bit-identical (the MR vector is a pure function of
+// the embedding rows), and each query is scored independently, so results
+// do not depend on how many workers call Predict concurrently.
 #ifndef IMR_SERVE_INFERENCE_ENGINE_H_
 #define IMR_SERVE_INFERENCE_ENGINE_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/model_state.h"
@@ -45,19 +43,10 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace imr::serve {
 
 struct EngineOptions {
-  /// Micro-batch flush size for SubmitAsync; PredictBatch is unaffected.
-  int max_batch = 32;
-  /// How long the dispatcher waits for more requests before flushing a
-  /// partial micro-batch. 0 flushes immediately (no coalescing).
-  int batch_delay_us = 200;
-  /// Worker threads for batch execution. 0 uses the process-global pool
-  /// (util::GlobalThreads); > 0 gives the engine a private pool.
-  int threads = 0;
   /// Entity-pair mutual-relation cache capacity (total across shards);
   /// 0 disables caching.
   size_t mr_cache_capacity = 4096;
@@ -65,8 +54,6 @@ struct EngineOptions {
   /// 1 reproduces the old single-mutex cache; more shards scale concurrent
   /// Get/Put without changing hit behavior.
   size_t cache_shards = 8;
-  /// Ring-buffer size for latency percentile estimates.
-  size_t latency_samples = 4096;
   /// Relations returned in Prediction::top.
   int top_k = 3;
   /// Serve with the int8 path: mutual-relation vectors come from the
@@ -75,11 +62,6 @@ struct EngineOptions {
   /// (PaModel::EnableQuantizedInference). fp32 and quantized engines over
   /// the same snapshot are compared by bench_serve's accuracy gate.
   bool quantized = false;
-  /// kNN-interpolate long-tail predictions when the snapshot carries an
-  /// ANNI section (re::KnnPredictor). The predictor's own confidence gate
-  /// decides per request whether the vote fires; snapshots without the
-  /// section serve unchanged regardless of this flag.
-  bool knn = true;
 };
 
 /// One inference request: an entity pair plus the sentences mentioning it
@@ -116,7 +98,6 @@ struct Prediction {
 
 struct EngineStats {
   uint64_t requests = 0;
-  uint64_t batches = 0;  // micro-batches executed by the dispatcher
   /// Requests whose response blended in the kNN vote (Prediction::knn_fired).
   uint64_t knn_fired = 0;
   uint64_t mr_cache_hits = 0;
@@ -160,33 +141,23 @@ struct EngineStats {
 
 class InferenceEngine {
  public:
-  InferenceEngine(Snapshot snapshot, const EngineOptions& options);
   /// Serves an already prepared state (quantization and eval mode applied
-  /// by ModelState::Create). ServeRouter uses this to share one immutable
-  /// model across N replicas — replicas exist for lock and queue isolation,
-  /// not for copies of the weights.
+  /// by ModelState::Create). ServeRouter shares one immutable state across
+  /// N replicas — replicas exist for lock and queue isolation, not for
+  /// copies of the weights.
   InferenceEngine(std::shared_ptr<const ModelState> state,
                   const EngineOptions& options);
-  ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Loads a snapshot from disk and wraps it in an engine.
+  /// Loads a snapshot from disk and serves it as generation 1.
   [[nodiscard]] static util::StatusOr<std::unique_ptr<InferenceEngine>> Open(
       const std::string& snapshot_path, const EngineOptions& options = {});
 
-  /// Scores one query synchronously.
-  [[nodiscard]] util::StatusOr<Prediction> Predict(const Query& query);
-
-  /// Scores a batch of queries, parallelized over the thread pool. Results
-  /// align with the input order and are bit-identical at any thread count.
-  std::vector<util::StatusOr<Prediction>> PredictBatch(
-      const std::vector<Query>& queries);
-
-  /// Enqueues a query for micro-batched execution; the future resolves
-  /// once the dispatcher has run its batch.
-  std::future<util::StatusOr<Prediction>> SubmitAsync(Query query);
+  /// Scores one query on the calling thread.
+  [[nodiscard]] util::StatusOr<Prediction> Predict(const Query& query)
+      IMR_EXCLUDES(stats_mutex_);
 
   /// Resolves entity names against the snapshot's entity table and builds
   /// a query. Sentences with head_index/tail_index < 0 get their mention
@@ -195,14 +166,9 @@ class InferenceEngine {
       const std::string& head_name, const std::string& tail_name,
       std::vector<text::Sentence> sentences) const;
 
-  /// Zero-downtime hot swap: loads `snapshot_path` (on the calling thread,
-  /// never a request thread), validates it against the serving generation
-  /// (ModelState::ValidateSwap), and publishes it atomically. In-flight
-  /// requests finish on the old generation; new requests see the new one.
-  [[nodiscard]] util::Status Reload(const std::string& snapshot_path);
-
   /// Publishes an already prepared state (ServeRouter shares one state
-  /// across its replicas). The caller is responsible for validation.
+  /// across its replicas). The caller is responsible for validation
+  /// (ModelState::ValidateSwap).
   void SwapState(std::shared_ptr<const ModelState> state)
       IMR_EXCLUDES(state_mutex_);
 
@@ -214,8 +180,6 @@ class InferenceEngine {
     return state_;
   }
 
-  uint64_t generation() const { return CurrentState()->generation; }
-
   EngineStats Stats() const IMR_EXCLUDES(stats_mutex_);
 
   /// Raw latency ring contents (unordered); ServeRouter merges these
@@ -223,19 +187,13 @@ class InferenceEngine {
   std::vector<double> LatencySamples() const IMR_EXCLUDES(stats_mutex_);
 
   /// The serving snapshot. The reference stays valid until the next
-  /// swap — callers that might race a Reload must hold CurrentState()
+  /// swap — callers that might race a swap must hold CurrentState()
   /// instead.
   const Snapshot& snapshot() const { return CurrentState()->snapshot; }
-  int num_relations() const {
-    return CurrentState()
-        ->snapshot.manifest.model_config.num_relations;
-  }
 
  private:
-  struct PendingRequest {
-    Query query;
-    std::promise<util::StatusOr<Prediction>> promise;
-  };
+  /// Size of the latency ring behind the percentile estimates.
+  static constexpr size_t kLatencySamples = 4096;
 
   /// Cache keys embed the generation so a hot swap can never serve one
   /// generation's MR vector with another's model weights.
@@ -256,14 +214,8 @@ class InferenceEngine {
 
   util::StatusOr<re::Bag> BuildBag(const ModelState& state,
                                    const Query& query, bool* cache_hit);
-  util::StatusOr<Prediction> PredictOne(const Query& query)
-      IMR_EXCLUDES(stats_mutex_);
-  util::ThreadPool& pool();
-  void EnsureDispatcherLocked() IMR_REQUIRES(queue_mutex_);
-  void DispatchLoop() IMR_EXCLUDES(queue_mutex_, stats_mutex_);
 
   EngineOptions options_;
-  std::unique_ptr<util::ThreadPool> own_pool_;  // only when options_.threads > 0
   /// The RCU slot, locked only to copy or exchange the pointer. Not
   /// std::atomic<shared_ptr>: libstdc++ 12's load() releases its internal
   /// lock with a relaxed store, so a load and the next swap race on the
@@ -274,7 +226,6 @@ class InferenceEngine {
   ShardedLruCache<MrCacheKey, std::vector<float>, MrCacheKeyHash> mr_cache_;
 
   std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> knn_fired_{0};
   mutable util::Mutex stats_mutex_;  // latency ring + qps window only
   double latency_sum_us_ IMR_GUARDED_BY(stats_mutex_) = 0.0;
@@ -286,16 +237,6 @@ class InferenceEngine {
       IMR_GUARDED_BY(stats_mutex_);
   std::chrono::steady_clock::time_point last_completion_time_
       IMR_GUARDED_BY(stats_mutex_);
-
-  util::Mutex queue_mutex_;
-  util::CondVar queue_cv_;
-  std::vector<PendingRequest> queue_ IMR_GUARDED_BY(queue_mutex_);
-  bool stop_ IMR_GUARDED_BY(queue_mutex_) = false;
-  bool dispatcher_started_ IMR_GUARDED_BY(queue_mutex_) = false;
-  // Written once under queue_mutex_ (EnsureDispatcherLocked) and joined in
-  // the destructor after the dispatcher was told to stop; not annotated
-  // because std::thread::join must run unlocked.
-  std::thread dispatcher_;
 };
 
 }  // namespace imr::serve

@@ -28,7 +28,6 @@ ServeRouter::ServeRouter(std::shared_ptr<const ModelState> state,
   IMR_CHECK(state != nullptr);
   options_.replicas = std::max(1, options_.replicas);
   options_.workers_per_replica = std::max(1, options_.workers_per_replica);
-  generation_.store(state->generation, std::memory_order_release);
   const size_t replicas = static_cast<size_t>(options_.replicas);
   engines_.reserve(replicas);
   queues_.reserve(replicas);
@@ -156,11 +155,9 @@ util::Status ServeRouter::Reload(const std::string& snapshot_path) {
     last_reload_error_ = snapshot.status().message();
     return snapshot.status();
   }
-  const uint64_t next_generation =
-      generation_.load(std::memory_order_acquire) + 1;
   return PublishLocked(
       ModelState::Create(std::move(*snapshot), options_.engine.quantized,
-                         next_generation),
+                         ServingState()->generation + 1),
       /*is_delta=*/false);
 }
 
@@ -169,18 +166,15 @@ util::Status ServeRouter::ReloadDelta(const std::string& delta_path) {
   // Pin the base generation for the whole apply: even if a concurrent full
   // Reload were possible (it is not — reload_mutex_), the delta patches
   // exactly the state it hash-matched against.
-  const std::shared_ptr<const ModelState> base =
-      engines_.front()->CurrentState();
+  const std::shared_ptr<const ModelState> base = ServingState();
   auto snapshot = ApplyDelta(base->snapshot, delta_path);
   if (!snapshot.ok()) {
     last_reload_error_ = snapshot.status().message();
     return snapshot.status();
   }
-  const uint64_t next_generation =
-      generation_.load(std::memory_order_acquire) + 1;
   return PublishLocked(
       ModelState::Create(std::move(*snapshot), options_.engine.quantized,
-                         next_generation, base.get()),
+                         base->generation + 1, base.get()),
       /*is_delta=*/true);
 }
 
@@ -190,8 +184,7 @@ util::Status ServeRouter::PublishLocked(
     last_reload_error_ = next.status().message();
     return next.status();
   }
-  const std::shared_ptr<const ModelState> current =
-      engines_.front()->CurrentState();
+  const std::shared_ptr<const ModelState> current = ServingState();
   if (util::Status valid = ModelState::ValidateSwap(*current, **next);
       !valid.ok()) {
     last_reload_error_ = valid.message();
@@ -200,23 +193,26 @@ util::Status ServeRouter::PublishLocked(
   // Publish: one pointer exchange per replica. In-flight requests drain on the
   // generation they pinned; the old state frees when the last one returns —
   // which is also what keeps a delta's base mapping pinned until its last
-  // borrower exits.
+  // borrower exits. Replica 0 goes first: it is the serving generation
+  // that generation(), content_hash() and Stats() report.
   for (auto& engine : engines_) engine->SwapState(*next);
-  generation_.store((*next)->generation, std::memory_order_release);
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  if (is_delta) delta_reloads_.fetch_add(1, std::memory_order_relaxed);
+  ++reloads_;
+  if (is_delta) ++delta_reloads_;
   last_reload_error_.clear();
   return util::OkStatus();
 }
 
 RouterStats ServeRouter::Stats() const {
   RouterStats stats;
-  stats.generation = generation_.load(std::memory_order_acquire);
-  stats.reloads = reloads_.load(std::memory_order_relaxed);
-  stats.delta_reloads = delta_reloads_.load(std::memory_order_relaxed);
-  stats.content_hash = content_hash();
   {
+    // Under the reload lock, so the generation, its hash, the reload
+    // counters and the last error all describe the same publish.
     util::MutexLock lock(reload_mutex_);
+    const std::shared_ptr<const ModelState> serving = ServingState();
+    stats.generation = serving->generation;
+    stats.content_hash = serving->snapshot.content_hash;
+    stats.reloads = reloads_;
+    stats.delta_reloads = delta_reloads_;
     stats.last_reload_error = last_reload_error_;
   }
   stats.replicas.reserve(engines_.size());
@@ -234,7 +230,6 @@ RouterStats ServeRouter::Stats() const {
     replica.shed_deadline = admission.shed_deadline;
 
     total.requests += replica.requests;
-    total.batches += replica.batches;
     total.knn_fired += replica.knn_fired;
     total.mr_cache_hits += replica.mr_cache_hits;
     total.mr_cache_misses += replica.mr_cache_misses;

@@ -1,7 +1,7 @@
-// The serve tier's front door: a ServeRouter fronts N InferenceEngine
-// replicas that share one immutable ModelState (replicas exist for lock
-// and queue isolation — separate latency rings, separate async queues —
-// not for copies of the weights).
+// The serve tier's front door and its only request path: a ServeRouter
+// fronts N InferenceEngine replicas that share one immutable ModelState
+// (replicas exist for lock isolation — separate MR caches and latency
+// rings — not for copies of the weights).
 //
 // Topology (DESIGN.md §12):
 //
@@ -20,8 +20,7 @@
 // an execution slot and runs the forward. Slots bound concurrent forwards
 // to roughly the core count, so under overload requests wait in queues
 // (cheap, visible, sheddable) instead of time-slicing each other's
-// forwards apart — that time-slicing is what made the pre-router engine's
-// threads=4 p99 ~50x its single-thread p99.
+// forwards apart.
 //
 // Hot swap: Reload() loads and validates the new snapshot ONCE on the
 // calling thread, then publishes the resulting ModelState to every replica
@@ -51,16 +50,15 @@
 namespace imr::serve {
 
 struct RouterOptions {
-  /// Engine replicas. Each gets its own MR cache, async queue, and stats;
-  /// all share one ModelState.
+  /// Engine replicas. Each gets its own MR cache, request queue, and
+  /// stats; all share one ModelState.
   int replicas = 1;
   /// Worker threads draining each replica's queue.
   int workers_per_replica = 1;
   /// Queue bounds, deadline shedding, and the execution-slot cap.
   AdmissionOptions admission;
   /// Per-replica engine configuration (cache size/shards, top_k,
-  /// quantized serving, ...). EngineOptions::threads applies to each
-  /// replica's internal PredictBatch pool, not to the router's workers.
+  /// quantized serving).
   EngineOptions engine;
 };
 
@@ -72,6 +70,7 @@ struct RouterStats {
   EngineStats aggregate;
   /// Per-replica engine stats, each with its own admission counters.
   std::vector<EngineStats> replicas;
+  /// Serving generation; `content_hash` below is always this generation's.
   uint64_t generation = 0;
   uint64_t reloads = 0;
   /// How many of `reloads` were IMRD delta applies (ReloadDelta) rather
@@ -135,17 +134,13 @@ class ServeRouter {
 
   /// Content hash of the serving generation (0 for v1 snapshots).
   uint64_t content_hash() const {
-    return engines_.front()->CurrentState()->snapshot.content_hash;
+    return ServingState()->snapshot.content_hash;
   }
 
   [[nodiscard]] RouterStats Stats() const IMR_EXCLUDES(reload_mutex_);
 
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-  int replicas() const { return static_cast<int>(engines_.size()); }
-  InferenceEngine& replica(int index) { return *engines_[static_cast<size_t>(index)]; }
-  const AdmissionController& admission() const { return admission_; }
+  /// The serving generation: the one the next request is stamped with.
+  uint64_t generation() const { return ServingState()->generation; }
 
  private:
   struct PendingRequest {
@@ -165,6 +160,13 @@ class ServeRouter {
   /// the returned future is already resolved with kUnavailable.
   std::future<util::StatusOr<Prediction>> Enqueue(Query query);
   void WorkerLoop(int replica_index);
+  /// The one copy of the serving generation: replica 0's pinned state.
+  /// PublishLocked swaps replica 0 first, so generation(), content_hash()
+  /// and Stats() never trail a response already stamped with the new
+  /// generation.
+  std::shared_ptr<const ModelState> ServingState() const {
+    return engines_.front()->CurrentState();
+  }
 
   RouterOptions options_;
   AdmissionController admission_;
@@ -177,12 +179,10 @@ class ServeRouter {
       util::StatusOr<std::shared_ptr<const ModelState>> next, bool is_delta)
       IMR_REQUIRES(reload_mutex_);
 
-  std::atomic<uint64_t> generation_{1};
-  std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> delta_reloads_{0};
-
   /// Serializes Reload() callers (never contended by request traffic).
   mutable util::Mutex reload_mutex_;
+  uint64_t reloads_ IMR_GUARDED_BY(reload_mutex_) = 0;
+  uint64_t delta_reloads_ IMR_GUARDED_BY(reload_mutex_) = 0;
   std::string last_reload_error_ IMR_GUARDED_BY(reload_mutex_);
 };
 

@@ -1,6 +1,7 @@
 // serve:: subsystem tests — snapshot round trips (bit-identical logits,
-// loud failure on corruption), the LRU cache, and the inference engine's
-// determinism across caching, thread counts, and the async micro-batcher.
+// loud failure on corruption), the LRU cache, the inference engine's
+// determinism across caching and cache sharding, and the router's
+// bit-exact agreement with a bare engine under concurrency and hot swap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -385,44 +386,31 @@ TEST(InferenceEngineTest, MatchesInProcessModel) {
   EXPECT_GT(checked, 0);
 }
 
-TEST(InferenceEngineTest, CachedUncachedAndThreadedBitIdentical) {
+TEST(InferenceEngineTest, CachedAndUncachedBitIdentical) {
   ServeFixture& f = Shared();
   serve::EngineOptions no_cache;
   no_cache.mr_cache_capacity = 0;
   serve::EngineOptions cached;
   cached.mr_cache_capacity = 256;
-  serve::EngineOptions threaded;
-  threaded.mr_cache_capacity = 256;
-  threaded.threads = 4;
 
   auto engine_no_cache = serve::InferenceEngine::Open(f.snapshot_path, no_cache);
   auto engine_cached = serve::InferenceEngine::Open(f.snapshot_path, cached);
-  auto engine_threaded =
-      serve::InferenceEngine::Open(f.snapshot_path, threaded);
   ASSERT_TRUE(engine_no_cache.ok());
   ASSERT_TRUE(engine_cached.ok());
-  ASSERT_TRUE(engine_threaded.ok());
 
   // Replay unique pairs three times so the cache actually gets hits.
+  // Concurrent scoring is covered by RouterTest.MatchesBareEngineBitExactly.
   std::vector<serve::Query> queries = f.SampleQueries(12);
   std::vector<serve::Query> stream;
   for (int repeat = 0; repeat < 3; ++repeat)
     stream.insert(stream.end(), queries.begin(), queries.end());
 
-  auto results_no_cache = (*engine_no_cache)->PredictBatch(stream);
-  auto results_cached = (*engine_cached)->PredictBatch(stream);
-  auto results_threaded = (*engine_threaded)->PredictBatch(stream);
-  ASSERT_EQ(results_no_cache.size(), stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(results_no_cache[i].ok());
-    ASSERT_TRUE(results_cached[i].ok());
-    ASSERT_TRUE(results_threaded[i].ok());
-    const auto& baseline = results_no_cache[i]->probabilities;
-    ASSERT_EQ(results_cached[i]->probabilities.size(), baseline.size());
-    for (size_t r = 0; r < baseline.size(); ++r) {
-      ASSERT_EQ(results_cached[i]->probabilities[r], baseline[r]);
-      ASSERT_EQ(results_threaded[i]->probabilities[r], baseline[r]);
-    }
+  for (const serve::Query& query : stream) {
+    auto baseline = (*engine_no_cache)->Predict(query);
+    auto cached_result = (*engine_cached)->Predict(query);
+    ASSERT_TRUE(baseline.ok());
+    ASSERT_TRUE(cached_result.ok());
+    EXPECT_EQ(cached_result->probabilities, baseline->probabilities);
   }
 
   const serve::EngineStats stats = (*engine_cached)->Stats();
@@ -431,39 +419,6 @@ TEST(InferenceEngineTest, CachedUncachedAndThreadedBitIdentical) {
   EXPECT_EQ(stats.mr_cache_hits + stats.mr_cache_misses, stream.size());
   const serve::EngineStats uncached_stats = (*engine_no_cache)->Stats();
   EXPECT_EQ(uncached_stats.mr_cache_hits, 0u);
-}
-
-TEST(InferenceEngineTest, AsyncMicroBatchingMatchesSync) {
-  ServeFixture& f = Shared();
-  serve::EngineOptions options;
-  options.max_batch = 8;
-  options.batch_delay_us = 500;
-  auto engine = serve::InferenceEngine::Open(f.snapshot_path, options);
-  ASSERT_TRUE(engine.ok());
-  auto reference = serve::InferenceEngine::Open(f.snapshot_path);
-  ASSERT_TRUE(reference.ok());
-
-  std::vector<serve::Query> queries = f.SampleQueries(10);
-  std::vector<std::future<util::StatusOr<serve::Prediction>>> futures;
-  futures.reserve(queries.size() * 2);
-  for (int repeat = 0; repeat < 2; ++repeat)
-    for (const serve::Query& query : queries)
-      futures.push_back((*engine)->SubmitAsync(query));
-
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    auto expected = (*reference)->Predict(queries[i % queries.size()]);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(result->probabilities.size(), expected->probabilities.size());
-    for (size_t r = 0; r < expected->probabilities.size(); ++r)
-      ASSERT_EQ(result->probabilities[r], expected->probabilities[r]);
-  }
-  const serve::EngineStats stats = (*engine)->Stats();
-  EXPECT_EQ(stats.requests, futures.size());
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_GT(stats.qps, 0.0);
-  EXPECT_GT(stats.p99_latency_us, 0.0);
 }
 
 TEST(InferenceEngineTest, MakeQueryResolvesNamesAndMentions) {
@@ -687,14 +642,10 @@ TEST(ShardedCacheTest, ClearEmptiesEveryShard) {
 
 TEST(EngineShardingTest, ShardCountsAreBitIdentical) {
   ServeFixture& f = Shared();
-  // One batch thread each: with concurrent batch workers two requests for
-  // one pair can both miss the cache, so hit counts would vary by schedule.
   serve::EngineOptions one_shard;
   one_shard.cache_shards = 1;
-  one_shard.threads = 1;
   serve::EngineOptions many_shards;
   many_shards.cache_shards = 16;
-  many_shards.threads = 1;
   auto engine_one = serve::InferenceEngine::Open(f.snapshot_path, one_shard);
   auto engine_many =
       serve::InferenceEngine::Open(f.snapshot_path, many_shards);
@@ -705,12 +656,12 @@ TEST(EngineShardingTest, ShardCountsAreBitIdentical) {
   std::vector<serve::Query> stream;
   for (int repeat = 0; repeat < 3; ++repeat)
     stream.insert(stream.end(), queries.begin(), queries.end());
-  auto results_one = (*engine_one)->PredictBatch(stream);
-  auto results_many = (*engine_many)->PredictBatch(stream);
-  for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(results_one[i].ok());
-    ASSERT_TRUE(results_many[i].ok());
-    EXPECT_EQ(results_one[i]->probabilities, results_many[i]->probabilities);
+  for (const serve::Query& query : stream) {
+    auto result_one = (*engine_one)->Predict(query);
+    auto result_many = (*engine_many)->Predict(query);
+    ASSERT_TRUE(result_one.ok());
+    ASSERT_TRUE(result_many.ok());
+    EXPECT_EQ(result_one->probabilities, result_many->probabilities);
   }
   // Hit behavior is shard-count independent: same pairs, same repeats.
   const serve::EngineStats one_stats = (*engine_one)->Stats();
@@ -835,6 +786,8 @@ TEST(RouterTest, MatchesBareEngineBitExactly) {
   EXPECT_EQ(stats.aggregate.admitted, stream.size());
   EXPECT_EQ(stats.aggregate.rejected_queue_full, 0u);
   EXPECT_EQ(stats.aggregate.shed_deadline, 0u);
+  EXPECT_GT(stats.aggregate.qps, 0.0);
+  EXPECT_GT(stats.aggregate.p99_latency_us, 0.0);
   EXPECT_EQ(stats.generation, 1u);
   ASSERT_EQ(stats.replicas.size(), 2u);
   EXPECT_EQ(stats.replicas[0].requests + stats.replicas[1].requests,
@@ -981,7 +934,8 @@ TEST(HotSwapTest, RejectsIncompatibleGeneration) {
 /// Sustained concurrent traffic across all three calling conventions while
 /// the main thread flips generations A<->B. Every response must succeed
 /// and be bit-consistent with exactly one generation — the one stamped in
-/// Prediction::generation. Runs under TSan in the sanitizer tree.
+/// Prediction::generation — and every Stats() poll must report the content
+/// hash of the generation it names. Runs under TSan in the sanitizer tree.
 void HotSwapUnderFire(bool quantized) {
   ServeFixture& f = Shared();
   serve::RouterOptions options;
@@ -1015,6 +969,11 @@ void HotSwapUnderFire(bool quantized) {
     expected_a.push_back(a->probabilities);
     expected_b.push_back(b->probabilities);
   }
+  // Odd generations serve snapshot A, even ones B: a Stats() that pairs a
+  // generation with the other snapshot's hash read a half-published swap.
+  const uint64_t hash_a = (*engine_a)->snapshot().content_hash;
+  const uint64_t hash_b = (*engine_b)->snapshot().content_hash;
+  ASSERT_NE(hash_a, hash_b);
 
   struct Observed {
     size_t query = 0;
@@ -1024,6 +983,7 @@ void HotSwapUnderFire(bool quantized) {
   util::Mutex observed_mutex;
   std::vector<Observed> observed;
   std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> stats_polls{0}, mismatched_stats{0};
   std::atomic<bool> stop{false};
   const auto record = [&](size_t query_index,
                           const util::StatusOr<serve::Prediction>& result) {
@@ -1067,6 +1027,16 @@ void HotSwapUnderFire(bool quantized) {
       record(q, future.get());
     }
   });
+  traffic.emplace_back([&] {  // stats poller
+    while (!stop.load(std::memory_order_relaxed)) {
+      const serve::RouterStats stats = (*router)->Stats();
+      const uint64_t expected = stats.generation % 2 == 1 ? hash_a : hash_b;
+      if (stats.content_hash != expected) {
+        mismatched_stats.fetch_add(1, std::memory_order_relaxed);
+      }
+      stats_polls.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
 
   // Flip generations under fire: A -> B -> A -> ... with live traffic.
   constexpr int kReloads = 6;
@@ -1081,6 +1051,8 @@ void HotSwapUnderFire(bool quantized) {
   for (std::thread& t : traffic) t.join();
 
   EXPECT_EQ(failures.load(), 0u);  // zero failed requests across all swaps
+  EXPECT_GT(stats_polls.load(), 0u);
+  EXPECT_EQ(mismatched_stats.load(), 0u);
   EXPECT_EQ((*router)->generation(), static_cast<uint64_t>(kReloads + 1));
   util::MutexLock lock(observed_mutex);
   ASSERT_GT(observed.size(), 0u);
