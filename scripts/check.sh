@@ -116,9 +116,10 @@ else
 fi
 
 # 1b'''. Snapshot format compatibility: the SnapshotCompat* suite proves
-# the current writer still emits loadable v1, v2 opens zero-copy with a
-# valid content hash, and a v1-era reader cleanly rejects v2 files — the
-# cross-version contract a serving fleet mid-rollout depends on.
+# a version-1 file fails as an unsupported version, v2 opens zero-copy
+# with a valid content hash and 64-byte-aligned arrays, and a v1-era
+# reader cleanly rejects v2 files — the cross-version contract a serving
+# fleet mid-rollout depends on.
 if [ -x build/tests/serve_test ]; then
   run_stage "snapshot-compat" build/tests/serve_test \
       --gtest_filter='SnapshotCompat*'

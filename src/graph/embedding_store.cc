@@ -260,35 +260,4 @@ double QuantizedEmbeddingStore::MaxAbsError(
   return worst;
 }
 
-void QuantizedEmbeddingStore::WriteTo(util::BinaryWriter* writer) const {
-  writer->WriteU32(static_cast<uint32_t>(num_vertices_));
-  writer->WriteU32(static_cast<uint32_t>(dim_));
-  const size_t count = static_cast<size_t>(num_vertices_) * dim_;
-  writer->WriteU64(static_cast<uint64_t>(num_vertices_));
-  writer->WriteRawBytes(raw_scales(), static_cast<size_t>(num_vertices_) * sizeof(float));
-  writer->WriteU64(count);
-  writer->WriteRawBytes(raw(), count);
-}
-
-util::StatusOr<QuantizedEmbeddingStore> QuantizedEmbeddingStore::ReadFrom(
-    util::BinaryReader* reader) {
-  const int num_vertices = static_cast<int>(reader->ReadU32());
-  const int dim = static_cast<int>(reader->ReadU32());
-  std::vector<float> scales = reader->ReadFloatVector();
-  std::vector<int8_t> data = reader->ReadByteVector();
-  IMR_RETURN_IF_ERROR(reader->status());
-  if (num_vertices <= 0 || dim <= 0 ||
-      scales.size() != static_cast<size_t>(num_vertices) ||
-      data.size() != static_cast<size_t>(num_vertices) * dim) {
-    return util::InvalidArgument("corrupt quantized embedding section in '" +
-                                 reader->path() + "'");
-  }
-  QuantizedEmbeddingStore store;
-  store.num_vertices_ = num_vertices;
-  store.dim_ = dim;
-  store.scales_ = std::move(scales);
-  store.data_ = std::move(data);
-  return store;
-}
-
 }  // namespace imr::graph

@@ -2,9 +2,9 @@
 // the paper's implicit-mutual-relation vector MR(i, j) = U_j - U_i.
 //
 // Storage comes in two modes behind one read API:
-//   - owned:    the classic std::vector<float> copy (training, v1 loads)
+//   - owned:    the classic std::vector<float> copy (training, .emb files)
 //   - borrowed: a View() over bytes owned by someone else — an mmap'd IMRS
-//     v2 snapshot section. The view holds a shared_ptr to the owner, so the
+//     snapshot section. The view holds a shared_ptr to the owner, so the
 //     mapping stays pinned while any store (and thus any serving
 //     generation) still reads from it. Borrowed stores are read-only:
 //     mutating accessors (Vector(int), NormalizeRows, flat) CHECK-fail.
@@ -73,10 +73,8 @@ class EmbeddingStore {
   [[nodiscard]] util::Status Save(const std::string& path) const;
   [[nodiscard]] static util::StatusOr<EmbeddingStore> Load(const std::string& path);
 
-  /// Streams the store into an already-open writer / restores it from one —
-  /// used by composite formats (model snapshots) that carry the entity
-  /// embeddings as one section of a larger file. Values round-trip
-  /// bit-exactly.
+  /// Streams the store into an already-open writer / restores it from one
+  /// (the body of a Save/Load .emb file). Values round-trip bit-exactly.
   void WriteTo(util::BinaryWriter* writer) const;
   [[nodiscard]] static util::StatusOr<EmbeddingStore> ReadFrom(util::BinaryReader* reader);
 
@@ -139,12 +137,6 @@ class QuantizedEmbeddingStore {
   /// Largest |dequantized - reference| over all elements; the round-trip
   /// test asserts this stays within the per-row scale/2 bound.
   double MaxAbsError(const EmbeddingStore& reference) const;
-
-  /// Streams the store into / out of an already-open writer (the QEMB
-  /// snapshot section). Values round-trip bit-exactly.
-  void WriteTo(util::BinaryWriter* writer) const;
-  [[nodiscard]] static util::StatusOr<QuantizedEmbeddingStore> ReadFrom(
-      util::BinaryReader* reader);
 
  private:
   int num_vertices_ = 0;

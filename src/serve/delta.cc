@@ -50,17 +50,16 @@ util::Status ReadRowIds(util::BinaryReader* reader, uint32_t count,
   return util::OkStatus();
 }
 
-}  // namespace
-
-util::StatusOr<DeltaHeader> ReadDeltaHeader(const std::string& path) {
-  auto file = util::MmapFile::Open(path);
-  IMR_RETURN_IF_ERROR(file.status());
+/// Validates the framing of a mapped IMRD file (size floor, magic, version,
+/// end sentinel) and returns its identity edge.
+util::StatusOr<DeltaHeader> ParseDeltaHeader(const util::MmapFile& file,
+                                             const std::string& path) {
   // Minimum well-formed file: header + base hash + an empty DEMB would
   // already exceed this, so 28 bytes is a pure plausibility floor.
-  if ((*file)->size() < 28) {
+  if (file.size() < 28) {
     return util::InvalidArgument("delta '" + path + "': file too small");
   }
-  const uint8_t* bytes = (*file)->data();
+  const uint8_t* bytes = file.data();
   uint32_t magic = 0;
   uint32_t version = 0;
   std::memcpy(&magic, bytes, 4);
@@ -76,15 +75,23 @@ util::StatusOr<DeltaHeader> ReadDeltaHeader(const std::string& path) {
         version, kDeltaFormatVersion));
   }
   uint32_t end_tag = 0;
-  std::memcpy(&end_tag, bytes + (*file)->size() - 12, 4);
+  std::memcpy(&end_tag, bytes + file.size() - 12, 4);
   if (end_tag != kTagEnd) {
     return util::InvalidArgument("delta '" + path +
                                  "': missing end sentinel (truncated?)");
   }
   DeltaHeader header;
   std::memcpy(&header.base_hash, bytes + 8, 8);
-  std::memcpy(&header.result_hash, bytes + (*file)->size() - 8, 8);
+  std::memcpy(&header.result_hash, bytes + file.size() - 8, 8);
   return header;
+}
+
+}  // namespace
+
+util::StatusOr<DeltaHeader> ReadDeltaHeader(const std::string& path) {
+  auto file = util::MmapFile::Open(path);
+  IMR_RETURN_IF_ERROR(file.status());
+  return ParseDeltaHeader(**file, path);
 }
 
 util::StatusOr<uint64_t> SaveDelta(uint64_t base_hash,
@@ -182,44 +189,44 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
   if (base.model == nullptr) {
     return util::InvalidArgument("delta base snapshot carries no model");
   }
+  if (base.mapping == nullptr) {
+    return util::FailedPrecondition(
+        "delta base snapshot has no mapping to patch (not opened by "
+        "LoadSnapshot or ApplyDelta)");
+  }
   // Deltas are authenticated end to end: result_hash covers every byte
   // between the header and the end sentinel, seeded with the base hash.
   // Verify it up front — the file is O(touched rows) small, so one hash
   // sweep is cheap — so a corrupt delta can never silently patch a
   // generation. (Snapshot opens skip this to stay O(header); deltas are
-  // the write path into a live server and get the strict check.)
-  {
-    auto file = util::MmapFile::Open(path);
-    IMR_RETURN_IF_ERROR(file.status());
-    if ((*file)->size() < 28) {
-      return util::InvalidArgument("delta '" + path + "': file too small");
-    }
-    const uint8_t* bytes = (*file)->data();
-    uint64_t stored_base = 0;
-    uint64_t stored_result = 0;
-    std::memcpy(&stored_base, bytes + 8, 8);
-    std::memcpy(&stored_result, bytes + (*file)->size() - 8, 8);
-    const uint64_t actual =
-        util::Fnv1a(bytes + 8, (*file)->size() - 20, stored_base);
-    if (actual != stored_result) {
-      return util::InvalidArgument(util::StrFormat(
-          "delta '%s': content hash mismatch (file says %016llx, payload "
-          "hashes to %016llx) — corrupt or tampered delta",
-          path.c_str(), static_cast<unsigned long long>(stored_result),
-          static_cast<unsigned long long>(actual)));
-    }
+  // the write path into a live server and get the strict check.) The
+  // parse below reads the same mapped bytes the hash covered: a second
+  // open of `path` could see a different file once a publisher renames a
+  // new delta over it.
+  auto file = util::MmapFile::Open(path);
+  IMR_RETURN_IF_ERROR(file.status());
+  auto header = ParseDeltaHeader(**file, path);
+  IMR_RETURN_IF_ERROR(header.status());
+  const uint8_t* bytes = (*file)->data();
+  const size_t size = (*file)->size();
+  const uint64_t actual = util::Fnv1a(bytes + 8, size - 20, header->base_hash);
+  if (actual != header->result_hash) {
+    return util::InvalidArgument(util::StrFormat(
+        "delta '%s': content hash mismatch (file says %016llx, payload "
+        "hashes to %016llx) — corrupt or tampered delta",
+        path.c_str(), static_cast<unsigned long long>(header->result_hash),
+        static_cast<unsigned long long>(actual)));
   }
-  util::BinaryReader reader(path, kDeltaMagic, kDeltaFormatVersion);
-  IMR_RETURN_IF_ERROR(reader.status());
-  const uint64_t base_hash = reader.ReadU64();
-  IMR_RETURN_IF_ERROR(reader.status());
-  if (base_hash != base.content_hash) {
+  if (header->base_hash != base.content_hash) {
     return util::FailedPrecondition(util::StrFormat(
         "delta '%s' applies to base hash %016llx but the serving generation "
         "is %016llx",
-        path.c_str(), static_cast<unsigned long long>(base_hash),
+        path.c_str(), static_cast<unsigned long long>(header->base_hash),
         static_cast<unsigned long long>(base.content_hash)));
   }
+  // The sections: everything after the base hash, up to and including the
+  // end sentinel's tag.
+  util::BinaryReader reader(path, bytes + 16, size - 24, 16);
 
   const int num_vertices = base.embeddings.num_vertices();
   const int dim = base.embeddings.dim();
@@ -244,38 +251,21 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
   IMR_RETURN_IF_ERROR(ReadRowIds(&reader, count, num_vertices, &rows));
   IMR_RETURN_IF_ERROR(SkipPad(&reader, kRowAlign));
 
-  // The fast path block-aliases the base mapping: a MAP_PRIVATE clone of
-  // the same pages, where only the row-blocks memcpy'd below are actually
-  // copied (kernel CoW) — everything else keeps sharing the base's physical
-  // pages. The owned fallback (v1 base) copies the matrix once instead.
-  const bool zero_copy = base.mapping != nullptr && base.layout.valid &&
-                         base.embeddings.borrowed();
-  std::shared_ptr<util::MmapFile> clone;
-  uint8_t* clone_bytes = nullptr;
-  graph::EmbeddingStore patched;
-  if (zero_copy) {
-    auto cloned = base.mapping->PrivateCopy();
-    IMR_RETURN_IF_ERROR(cloned.status());
-    clone = std::move(*cloned);
-    clone_bytes = clone->mutable_data();
-    for (uint32_t row : rows) {
-      reader.ReadBytes(
-          clone_bytes + base.layout.embd_data + row * row_bytes, row_bytes);
-    }
-  } else {
-    patched = graph::EmbeddingStore(num_vertices, dim);
-    std::memcpy(patched.Vector(0), base.embeddings.raw(),
-                base.embeddings.value_count() * sizeof(float));
-    for (uint32_t row : rows) {
-      reader.ReadBytes(patched.Vector(static_cast<int>(row)), row_bytes);
-    }
+  // Block-alias the base mapping: a MAP_PRIVATE clone of the same pages,
+  // where only the row-blocks memcpy'd below are actually copied (kernel
+  // CoW) — everything else keeps sharing the base's physical pages.
+  auto cloned = base.mapping->PrivateCopy();
+  IMR_RETURN_IF_ERROR(cloned.status());
+  std::shared_ptr<util::MmapFile> clone = std::move(*cloned);
+  uint8_t* clone_bytes = clone->mutable_data();
+  for (uint32_t row : rows) {
+    reader.ReadBytes(clone_bytes + base.layout.embd_data + row * row_bytes,
+                     row_bytes);
   }
   IMR_RETURN_IF_ERROR(reader.status());
 
-  const bool base_has_qemb = !base.quantized_embeddings.empty();
-  const bool qemb_in_place = zero_copy && base_has_qemb &&
-                             base.layout.qemb_data != 0 &&
-                             base.quantized_embeddings.borrowed();
+  // The base mapping carries a QEMB section (layout recorded at load).
+  const bool qemb_in_place = base.layout.qemb_data != 0;
   bool quantized_patched = false;
 
   // Rebuild only the parameter set (small next to the embedding table):
@@ -325,9 +315,7 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
       }
       quantized_patched = true;
     } else {
-      // No in-place QEMB to patch (v1 base or no QEMB section): consume
-      // the payload; the owned path rebuilds below from the fp32 rows,
-      // which QuantizeRow maps to the same bits.
+      // The base has no QEMB section to patch: consume the payload.
       std::vector<int8_t> discard(static_cast<size_t>(dim));
       for (uint32_t i = 0; i < qcount; ++i) {
         reader.ReadBytes(discard.data(), discard.size());
@@ -393,48 +381,36 @@ util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
     tag = reader.ReadU32();
     IMR_RETURN_IF_ERROR(reader.status());
   }
-  if (tag != kTagEnd) {
+  // The only sentinel is the one the header probe found, at size - 12.
+  if (tag != kTagEnd || reader.remaining() != 0) {
     return util::InvalidArgument(util::StrFormat(
-        "delta '%s': expected section or end sentinel tag, found 0x%08x",
-        path.c_str(), tag));
+        "delta '%s': expected section or end sentinel tag, found 0x%08x at "
+        "byte offset %llu",
+        path.c_str(), tag,
+        static_cast<unsigned long long>(reader.offset() - 4)));
   }
-  const uint64_t result_hash = reader.ReadU64();
-  IMR_RETURN_IF_ERROR(reader.status());
 
   Snapshot next;
   next.manifest = base.manifest;
   next.tables = base.tables;  // refcount bump, not an O(vocab) copy
   next.knn = base.knn;
   next.model = std::move(model);
-  next.content_hash = result_hash;
-  next.format_version = base.format_version;
-  if (zero_copy) {
-    next.embeddings = graph::EmbeddingStore::View(
+  next.content_hash = header->result_hash;
+  next.embeddings = graph::EmbeddingStore::View(
+      num_vertices, dim,
+      reinterpret_cast<const float*>(clone->data() + base.layout.embd_data),
+      clone);
+  if (qemb_in_place) {
+    next.quantized_embeddings = graph::QuantizedEmbeddingStore::View(
         num_vertices, dim,
+        reinterpret_cast<const int8_t*>(clone->data() +
+                                        base.layout.qemb_data),
         reinterpret_cast<const float*>(clone->data() +
-                                       base.layout.embd_data),
+                                       base.layout.qemb_scales),
         clone);
-    if (qemb_in_place) {
-      next.quantized_embeddings = graph::QuantizedEmbeddingStore::View(
-          num_vertices, dim,
-          reinterpret_cast<const int8_t*>(clone->data() +
-                                          base.layout.qemb_data),
-          reinterpret_cast<const float*>(clone->data() +
-                                         base.layout.qemb_scales),
-          clone);
-    }
-    next.mapping = std::move(clone);
-    next.layout = base.layout;
-  } else {
-    if (base_has_qemb) {
-      // Owned fallback: requantizing the patched matrix reproduces the
-      // same bits as patching (QuantizeRow is the single quantization
-      // kernel everywhere).
-      next.quantized_embeddings =
-          graph::QuantizedEmbeddingStore::Quantize(patched);
-    }
-    next.embeddings = std::move(patched);
   }
+  next.mapping = std::move(clone);
+  next.layout = base.layout;
   return next;
 }
 

@@ -1,5 +1,5 @@
 // IMRD row-sparse delta generations: the O(touched-rows) companion of the
-// IMRS v2 snapshot format.
+// IMRS snapshot format.
 //
 // A training step that touches 0.2% of the embedding rows should not cost
 // an O(vocab x dim) snapshot rewrite plus an O(model) reload to reach the
@@ -8,18 +8,18 @@
 // plus any changed named parameters — and the serve tier applies it to the
 // in-memory base generation:
 //
-//   base (mmap'd v2)  ──PrivateCopy──>  copy-on-write clone
-//                                        │ memcpy touched row-blocks only
-//                                        ▼
-//                                   new Snapshot (borrowed views over the
-//                                   clone; tables/kNN shared with the base)
+//   base (mmap'd IMRS) ──PrivateCopy──>  copy-on-write clone
+//                                         │ memcpy touched row-blocks only
+//                                         ▼
+//                                    new Snapshot (borrowed views over the
+//                                    clone; tables/kNN shared with the base)
 //
 // The kernel CoW-faults only the pages the memcpys dirty, so apply cost is
 // O(touched blocks), not O(vocab x dim) — the base mapping stays pinned
 // (and its pages shared) until the last borrowing generation drains.
 //
 // Identity chaining: a delta names its base by the base's FNV-1a content
-// hash (v2 footer) and carries result_hash = FNV(delta payload, seed =
+// hash (snapshot footer) and carries result_hash = FNV(delta payload, seed =
 // base_hash); applying to any other generation fails with a clean Status.
 // SnapshotWatcher uses the (base_hash -> result_hash) edges to apply a
 // directory of sibling deltas in chain order.
@@ -35,10 +35,6 @@
 //   DPRM  OPTIONAL: u32 tag, u32 param count, then per parameter:
 //         name string, u64 value count, raw f32 values
 //   SEND  u32 tag, u64 result_hash          <- last 12 bytes, cheap probe
-//
-// A base loaded from a v1 file (owned storage, no mapping) still applies:
-// the embeddings are copied once and patched in place — O(model), the
-// documented fallback, never the serving path bench_serve gates on.
 #ifndef IMR_SERVE_DELTA_H_
 #define IMR_SERVE_DELTA_H_
 
@@ -94,9 +90,13 @@ struct DeltaSpec {
 /// Applies the delta at `path` to `base`, producing a new Snapshot:
 /// block-aliases the base mapping via copy-on-write, memcpys only the
 /// touched row-blocks, shares the base's tables and kNN predictor, and
-/// rebuilds only the (small) parameter set. Fails with a clean Status when
-/// the delta's base_hash does not match `base.content_hash`, on any framing
-/// corruption, and never crashes on corrupt input.
+/// rebuilds only the (small) parameter set. The file is opened once: the
+/// bytes whose result_hash is verified are the bytes parsed, so a file
+/// renamed over `path` mid-apply cannot slip in unverified rows. Fails with
+/// a clean Status when the delta's base_hash does not match
+/// `base.content_hash`, on any framing corruption, and never crashes on
+/// corrupt input; a `base` without a mapping (not produced by LoadSnapshot
+/// or ApplyDelta) gets kFailedPrecondition.
 [[nodiscard]] util::StatusOr<Snapshot> ApplyDelta(const Snapshot& base,
                                                   const std::string& path);
 

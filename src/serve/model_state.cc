@@ -20,8 +20,8 @@ util::StatusOr<std::shared_ptr<const ModelState>> ModelState::Create(
   if (quantized) {
     if (state->snapshot.quantized_embeddings.empty() &&
         state->snapshot.embeddings.num_vertices() > 0) {
-      // Pre-quantization snapshot: build the int8 store at load time so the
-      // quantized path works against any v1 file.
+      // Snapshot saved without a QEMB section: build the int8 store at load
+      // time so the quantized path works against any snapshot.
       state->snapshot.quantized_embeddings =
           graph::QuantizedEmbeddingStore::Quantize(state->snapshot.embeddings);
     }

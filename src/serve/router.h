@@ -76,8 +76,8 @@ struct RouterStats {
   /// How many of `reloads` were IMRD delta applies (ReloadDelta) rather
   /// than full snapshot loads.
   uint64_t delta_reloads = 0;
-  /// Content hash of the serving generation (v2 snapshots and delta
-  /// results; 0 for v1). The identity the next delta must chain on.
+  /// Content hash of the serving generation (snapshot footer or delta
+  /// result). The identity the next delta must chain on.
   uint64_t content_hash = 0;
   /// Empty when the last Reload()/ReloadDelta() succeeded (or none was
   /// attempted).
@@ -132,7 +132,7 @@ class ServeRouter {
   [[nodiscard]] util::Status ReloadDelta(const std::string& delta_path)
       IMR_EXCLUDES(reload_mutex_);
 
-  /// Content hash of the serving generation (0 for v1 snapshots).
+  /// Content hash of the serving generation.
   uint64_t content_hash() const {
     return ServingState()->snapshot.content_hash;
   }

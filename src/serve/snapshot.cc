@@ -13,9 +13,9 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x494D5253;  // "IMRS"
 
-// Section tags, written before each section so a reader that drifts out of
-// sync (or a file truncated on a boundary) fails on the next tag instead of
-// interpreting unrelated bytes as lengths.
+// Section tags, written before each section payload; the reader checks each
+// against the footer's offset table, so a mismatched table or a file
+// corrupted on a boundary fails instead of misreading unrelated bytes.
 constexpr uint32_t kTagManifest = 0x4D414E49;    // "MANI"
 constexpr uint32_t kTagVocabulary = 0x564F4342;  // "VOCB"
 constexpr uint32_t kTagRelations = 0x52454C53;   // "RELS"
@@ -26,7 +26,7 @@ constexpr uint32_t kTagQuantized = 0x51454D42;   // "QEMB" (optional)
 constexpr uint32_t kTagAnn = 0x414E4E49;         // "ANNI" (optional)
 constexpr uint32_t kTagEnd = 0x53454E44;         // "SEND"
 
-// v2 framing constants.
+// Framing constants.
 constexpr size_t kSectionAlign = 64;
 constexpr size_t kTrailerBytes = 16;  // u64 footer offset + version + magic
 constexpr uint32_t kMaxSections = 16;
@@ -164,7 +164,7 @@ util::StatusOr<SnapshotManifest> ReadManifest(util::BinaryReader* reader) {
   return manifest;
 }
 
-// ---- section parsers shared by the v1 and v2 readers ----------------------
+// ---- section parsers -------------------------------------------------------
 
 util::Status ReadRelationNames(util::BinaryReader* reader,
                                const SnapshotManifest& manifest,
@@ -223,7 +223,7 @@ util::Status ReadModelParameters(util::BinaryReader* reader,
   return util::OkStatus();
 }
 
-/// Cross-section shape consistency, identical for both format versions.
+/// Cross-section shape consistency.
 util::Status ValidateCrossSections(const Snapshot& snapshot,
                                    const std::string& path) {
   if (snapshot.vocab().size() !=
@@ -267,95 +267,6 @@ util::Status ValidateQuantizedShape(
   return util::OkStatus();
 }
 
-// ---- v1: streamed parse-and-copy (the sanctioned mmap fallback) -----------
-
-util::StatusOr<Snapshot> LoadSnapshotV1(const std::string& path) {
-  util::BinaryReader reader(path, kSnapshotMagic, kSnapshotFormatV1);
-  IMR_RETURN_IF_ERROR(reader.status());
-
-  Snapshot snapshot;
-  auto tables = std::make_shared<SnapshotTables>();
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagManifest, "manifest"));
-  {
-    auto manifest = ReadManifest(&reader);
-    IMR_RETURN_IF_ERROR(manifest.status());
-    snapshot.manifest = std::move(*manifest);
-  }
-
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagVocabulary, "vocabulary"));
-  {
-    auto vocab = text::Vocabulary::ReadFrom(&reader);
-    IMR_RETURN_IF_ERROR(vocab.status());
-    tables->vocab = std::move(*vocab);
-  }
-
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagRelations, "relations"));
-  IMR_RETURN_IF_ERROR(ReadRelationNames(&reader, snapshot.manifest, path,
-                                        &tables->relation_names));
-
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagEntities, "entities"));
-  IMR_RETURN_IF_ERROR(ReadEntityTable(&reader, path, &tables->entities));
-  snapshot.tables = std::move(tables);
-
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagEmbeddings, "embeddings"));
-  {
-    // v1 has no offset table, so the matrix must be deserialize-copied.
-    auto embeddings =
-        graph::EmbeddingStore::ReadFrom(&reader);  // imr-lint: allow(snapshot-full-copy)
-    IMR_RETURN_IF_ERROR(embeddings.status());
-    snapshot.embeddings = std::move(*embeddings);
-  }
-  IMR_RETURN_IF_ERROR(ValidateCrossSections(snapshot, path));
-
-  IMR_RETURN_IF_ERROR(ExpectTag(&reader, kTagParameters, "parameters"));
-  IMR_RETURN_IF_ERROR(
-      ReadModelParameters(&reader, snapshot.manifest, &snapshot.model));
-
-  // The tail is a chain of optional sections in fixed order — [QEMB]
-  // [ANNI] — closed by SEND. Pre-quantization files hit SEND immediately;
-  // each reader branch consumes its section and reads the next tag.
-  uint64_t tail_at = reader.offset();
-  uint32_t tail_tag = reader.ReadU32();
-  IMR_RETURN_IF_ERROR(reader.status());
-  if (tail_tag == kTagQuantized) {
-    auto quantized =
-        graph::QuantizedEmbeddingStore::ReadFrom(&reader);  // imr-lint: allow(snapshot-full-copy)
-    IMR_RETURN_IF_ERROR(quantized.status());
-    IMR_RETURN_IF_ERROR(
-        ValidateQuantizedShape(*quantized, snapshot.embeddings, path));
-    snapshot.quantized_embeddings = std::move(*quantized);
-    tail_at = reader.offset();
-    tail_tag = reader.ReadU32();
-    IMR_RETURN_IF_ERROR(reader.status());
-  }
-  if (tail_tag == kTagAnn) {
-    auto knn = re::KnnPredictor::ReadFrom(&reader, snapshot.embeddings);
-    IMR_RETURN_IF_ERROR(knn.status());
-    if (knn->num_relations() !=
-        snapshot.manifest.model_config.num_relations) {
-      return util::InvalidArgument(util::StrFormat(
-          "snapshot '%s': kNN section has %d relations, manifest declares %d",
-          path.c_str(), knn->num_relations(),
-          snapshot.manifest.model_config.num_relations));
-    }
-    snapshot.knn =
-        std::make_shared<const re::KnnPredictor>(std::move(*knn));
-    tail_at = reader.offset();
-    tail_tag = reader.ReadU32();
-    IMR_RETURN_IF_ERROR(reader.status());
-  }
-  if (tail_tag != kTagEnd) {
-    return util::InvalidArgument(util::StrFormat(
-        "snapshot '%s': expected optional-section or end sentinel tag at "
-        "byte offset %llu, found 0x%08x",
-        path.c_str(), static_cast<unsigned long long>(tail_at), tail_tag));
-  }
-  snapshot.format_version = kSnapshotFormatV1;
-  return snapshot;
-}
-
-// ---- v2: mmap zero-copy -----------------------------------------------------
-
 struct SectionEntry {
   uint32_t tag = 0;
   uint64_t tag_offset = 0;
@@ -363,13 +274,13 @@ struct SectionEntry {
   uint64_t payload_end = 0;
 };
 
-util::StatusOr<Snapshot> LoadSnapshotV2(
+util::StatusOr<Snapshot> ParseSnapshot(
     std::shared_ptr<util::MmapFile> mapping, const std::string& path) {
   const uint8_t* base = mapping->data();
   const uint64_t size = mapping->size();
   if (size < 8 + kTrailerBytes) {
     return util::InvalidArgument("snapshot '" + path +
-                                 "': file too small for a v2 trailer");
+                                 "': file too small for a trailer");
   }
 
   // Trailer: footer offset + version/magic echo, at the very end so a
@@ -383,7 +294,7 @@ util::StatusOr<Snapshot> LoadSnapshotV2(
   if (echo_magic != kSnapshotMagic ||
       echo_version != static_cast<uint32_t>(kSnapshotFormatV2)) {
     return util::InvalidArgument(util::StrFormat(
-        "snapshot '%s': truncated or corrupt v2 trailer at byte offset %llu",
+        "snapshot '%s': truncated or corrupt trailer at byte offset %llu",
         path.c_str(), static_cast<unsigned long long>(size - kTrailerBytes)));
   }
   if (footer_offset < 8 || footer_offset > size - kTrailerBytes) {
@@ -508,7 +419,6 @@ util::StatusOr<Snapshot> LoadSnapshotV2(
         num_vertices, dim,
         reinterpret_cast<const float*>(base + data_offset), mapping);
     snapshot.layout.embd_data = data_offset;
-    snapshot.layout.valid = true;
   }
   IMR_RETURN_IF_ERROR(ValidateCrossSections(snapshot, path));
 
@@ -579,7 +489,6 @@ util::StatusOr<Snapshot> LoadSnapshotV2(
 
   snapshot.mapping = std::move(mapping);
   snapshot.content_hash = content_hash;
-  snapshot.format_version = kSnapshotFormatV2;
   return snapshot;
 }
 
@@ -594,11 +503,7 @@ util::Status SaveSnapshot(const re::PaModel& model,
                           uint64_t trained_steps, const std::string& notes,
                           const std::string& path,
                           const graph::QuantizedEmbeddingStore* quantized,
-                          const re::KnnPredictor* knn, int format_version) {
-  if (format_version != kSnapshotFormatV1 &&
-      format_version != kSnapshotFormatV2) {
-    return util::InvalidArgument("snapshot: unknown format version");
-  }
+                          const re::KnnPredictor* knn) {
   const re::PaModelConfig& config = model.config();
   // Catch inconsistent bundles at save time: a snapshot that cannot pass
   // its own load-time validation must never reach disk.
@@ -636,19 +541,18 @@ util::Status SaveSnapshot(const re::PaModel& model,
   }
 
   util::BinaryWriter writer(path, kSnapshotMagic,
-                            static_cast<uint32_t>(format_version));
+                            static_cast<uint32_t>(kSnapshotFormatV2));
   IMR_RETURN_IF_ERROR(writer.status());
-  const bool v2 = format_version == kSnapshotFormatV2;
-  if (v2) writer.StartHashing();
+  writer.StartHashing();
 
-  // v2 records every section in a trailing offset table; v1 just streams.
+  // Every section is recorded in the trailing offset table.
   std::vector<SectionEntry> table;
   auto begin_section = [&](uint32_t tag) {
     SectionEntry entry;
     entry.tag = tag;
     entry.tag_offset = writer.offset();
     writer.WriteU32(tag);
-    if (v2) writer.PadTo(kSectionAlign);
+    writer.PadTo(kSectionAlign);
     entry.payload_offset = writer.offset();
     table.push_back(entry);
   };
@@ -682,17 +586,13 @@ util::Status SaveSnapshot(const re::PaModel& model,
   end_section();
 
   begin_section(kTagEmbeddings);
-  if (v2) {
-    // Shape prefix, then the matrix re-aligned to 64 bytes so the reader
-    // can alias it in place.
-    writer.WriteU32(static_cast<uint32_t>(embeddings.num_vertices()));
-    writer.WriteU32(static_cast<uint32_t>(embeddings.dim()));
-    writer.PadTo(kSectionAlign);
-    writer.WriteRawBytes(embeddings.raw(),
-                         embeddings.value_count() * sizeof(float));
-  } else {
-    embeddings.WriteTo(&writer);
-  }
+  // Shape prefix, then the matrix re-aligned to 64 bytes so the reader can
+  // alias it in place.
+  writer.WriteU32(static_cast<uint32_t>(embeddings.num_vertices()));
+  writer.WriteU32(static_cast<uint32_t>(embeddings.dim()));
+  writer.PadTo(kSectionAlign);
+  writer.WriteRawBytes(embeddings.raw(),
+                       embeddings.value_count() * sizeof(float));
   end_section();
 
   begin_section(kTagParameters);
@@ -701,20 +601,16 @@ util::Status SaveSnapshot(const re::PaModel& model,
 
   if (quantized != nullptr) {
     begin_section(kTagQuantized);
-    if (v2) {
-      writer.WriteU32(static_cast<uint32_t>(quantized->num_vertices()));
-      writer.WriteU32(static_cast<uint32_t>(quantized->dim()));
-      writer.PadTo(kSectionAlign);
-      writer.WriteRawBytes(
-          quantized->raw_scales(),
-          static_cast<size_t>(quantized->num_vertices()) * sizeof(float));
-      writer.PadTo(kSectionAlign);
-      writer.WriteRawBytes(quantized->raw(),
-                           static_cast<size_t>(quantized->num_vertices()) *
-                               static_cast<size_t>(quantized->dim()));
-    } else {
-      quantized->WriteTo(&writer);
-    }
+    writer.WriteU32(static_cast<uint32_t>(quantized->num_vertices()));
+    writer.WriteU32(static_cast<uint32_t>(quantized->dim()));
+    writer.PadTo(kSectionAlign);
+    writer.WriteRawBytes(
+        quantized->raw_scales(),
+        static_cast<size_t>(quantized->num_vertices()) * sizeof(float));
+    writer.PadTo(kSectionAlign);
+    writer.WriteRawBytes(quantized->raw(),
+                         static_cast<size_t>(quantized->num_vertices()) *
+                             static_cast<size_t>(quantized->dim()));
     end_section();
   }
 
@@ -722,11 +618,6 @@ util::Status SaveSnapshot(const re::PaModel& model,
     begin_section(kTagAnn);
     knn->WriteTo(&writer);
     end_section();
-  }
-
-  if (!v2) {
-    writer.WriteU32(kTagEnd);
-    return writer.Close();
   }
 
   // Footer + trailer. The content hash covers [8, footer) — every section
@@ -759,7 +650,7 @@ util::Status SaveSnapshot(const re::PaModel& model,
                           uint64_t trained_steps, const std::string& notes,
                           const std::string& path,
                           const graph::QuantizedEmbeddingStore* quantized,
-                          const re::KnnPredictor* knn, int format_version) {
+                          const re::KnnPredictor* knn) {
   std::vector<std::string> relation_names;
   relation_names.reserve(static_cast<size_t>(graph.num_relations()));
   for (const kg::RelationSchema& schema : graph.relations())
@@ -770,7 +661,7 @@ util::Status SaveSnapshot(const re::PaModel& model,
     entities.push_back({entity.name, entity.type_ids});
   return SaveSnapshot(model, vocab, embeddings, relation_names, entities,
                       bag_options, trained_steps, notes, path, quantized,
-                      knn, format_version);
+                      knn);
 }
 
 util::StatusOr<Snapshot> LoadSnapshot(const std::string& path) {
@@ -789,17 +680,12 @@ util::StatusOr<Snapshot> LoadSnapshot(const std::string& path) {
         util::StrFormat("bad magic in '%s': file has 0x%08x, expected 0x%08x",
                         path.c_str(), magic, kSnapshotMagic));
   }
-  if (version == static_cast<uint32_t>(kSnapshotFormatV2)) {
-    return LoadSnapshotV2(std::move(*mapping), path);
+  if (version != static_cast<uint32_t>(kSnapshotFormatV2)) {
+    return util::InvalidArgument(util::StrFormat(
+        "unsupported version in '%s': file has %u, expected %d", path.c_str(),
+        version, kSnapshotFormatV2));
   }
-  if (version == static_cast<uint32_t>(kSnapshotFormatV1)) {
-    // Sanctioned parse-and-copy fallback; the mapping is released and the
-    // classic streamed reader takes over.
-    return LoadSnapshotV1(path);
-  }
-  return util::InvalidArgument(util::StrFormat(
-      "unsupported version in '%s': file has %u, expected 1 or 2",
-      path.c_str(), version));
+  return ParseSnapshot(std::move(*mapping), path);
 }
 
 }  // namespace imr::serve

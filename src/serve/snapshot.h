@@ -1,24 +1,17 @@
 // Versioned on-disk model snapshots: everything needed to stand a trained
 // PA-* pipeline back up in a fresh process, in one file.
 //
-// Two format versions share the magic and the section vocabulary
-// (DESIGN.md §14 has the byte-level diagrams):
+// IMRS v2 is the one format (DESIGN.md §14 has the byte-level diagram):
+// tagged sections, every section payload 64-byte aligned, the bulk arrays
+// (EMBD floats, QEMB scales/int8) additionally 64-byte aligned inside their
+// payloads, and a footer carrying a section-offset table plus an FNV-1a
+// content hash. The reader mmaps the file (util::MmapFile), validates the
+// bounds-checked footer, parses the small sections in place through
+// view-mode BinaryReaders, and hands the embedding stores *borrowed* views
+// of the mapped bytes — open is O(header) with lazy page faulting, never
+// O(model) parse-and-copy.
 //
-//   v1 — streamed: tagged sections in fixed order, parsed front to back
-//        with util::BinaryReader and copied into owned storage. Still
-//        written on request and always readable (the sanctioned
-//        parse-and-copy fallback).
-//   v2 — zero-copy: same sections, but every section payload is 64-byte
-//        aligned, the bulk arrays (EMBD floats, QEMB scales/int8) are
-//        additionally 64-byte aligned inside their payloads, and a footer
-//        carries a section-offset table plus an FNV-1a content hash. The
-//        reader mmaps the file (util::MmapFile), validates the
-//        bounds-checked footer, parses the small sections in place through
-//        view-mode BinaryReaders, and hands the embedding stores
-//        *borrowed* views of the mapped bytes — open is O(header) with
-//        lazy page faulting, instead of O(model) parse-and-copy.
-//
-// Section order (tags precede payloads in both versions):
+// Section order (each payload is preceded by its tag):
 //
 //   MANI  manifest: PaModelConfig (incl. EncoderConfig), BagDatasetOptions,
 //         trained-step count, free-form notes
@@ -32,14 +25,14 @@
 //         serving path
 //   ANNI  OPTIONAL re::KnnPredictor — memorised training pairs plus the
 //         learned IVF structure for kNN-interpolated long-tail serving
-//   SEND  end sentinel (v1) / footer opener (v2)
+//   SEND  footer opener
 //
 // Every section is validated on load (tag, counts, cross-section shape
 // consistency, parameter names/shapes); any mismatch returns a non-OK
 // Status naming the file and byte offset instead of crashing or silently
-// loading garbage. Readers reject unknown versions outright; a v2 file
-// presented to a v1-only reader fails on the version field with a clean
-// Status (the snapshot-compat CI stage asserts this).
+// loading garbage. Any version other than 2 is rejected outright with an
+// `unsupported version` Status; so is a v2 file presented to an older
+// v1-only reader (the snapshot-compat CI stage asserts both).
 #ifndef IMR_SERVE_SNAPSHOT_H_
 #define IMR_SERVE_SNAPSHOT_H_
 
@@ -59,7 +52,6 @@
 
 namespace imr::serve {
 
-inline constexpr int kSnapshotFormatV1 = 1;
 inline constexpr int kSnapshotFormatV2 = 2;
 
 /// Everything about a snapshot except the tensors: enough to rebuild the
@@ -87,11 +79,10 @@ struct SnapshotTables {
   std::vector<EntityRecord> entities;
 };
 
-/// Byte offsets of the zero-copy bulk arrays inside a v2 mapping, recorded
+/// Byte offsets of the zero-copy bulk arrays inside the mapping, recorded
 /// at load so ApplyDelta can patch touched rows into a copy-on-write clone
 /// without re-parsing the file.
 struct SnapshotLayout {
-  bool valid = false;
   uint64_t embd_data = 0;    // first float of the [nv x dim] fp32 matrix
   uint64_t qemb_scales = 0;  // first float of the per-row scales (QEMB only)
   uint64_t qemb_data = 0;    // first int8 of the [nv x dim] matrix
@@ -104,7 +95,7 @@ struct Snapshot {
   /// Never null; shared with delta generations derived from this snapshot.
   std::shared_ptr<const SnapshotTables> tables =
       std::make_shared<SnapshotTables>();
-  /// Owned (v1) or borrowing `mapping` (v2 zero-copy).
+  /// Borrows `mapping` (zero-copy).
   graph::EmbeddingStore embeddings;
   /// Empty unless the file carried a QEMB section.
   graph::QuantizedEmbeddingStore quantized_embeddings;
@@ -113,15 +104,13 @@ struct Snapshot {
   /// predictor across the RCU swap.
   std::shared_ptr<const re::KnnPredictor> knn;
   std::unique_ptr<re::PaModel> model;
-  /// v2 only: the mapping the embedding stores borrow from. Held shared so
-  /// the mapped pages survive file unlink/replace until the last borrower
+  /// The mapping the embedding stores borrow from. Held shared so the
+  /// mapped pages survive file unlink/replace until the last borrower
   /// (serving generation) drops its reference.
   std::shared_ptr<const util::MmapFile> mapping;
   SnapshotLayout layout;
-  /// FNV-1a identity of the snapshot contents (v2 footer; deltas chain on
-  /// it). 0 for v1 files, which carry no hash.
+  /// FNV-1a identity of the snapshot contents (footer; deltas chain on it).
   uint64_t content_hash = 0;
-  int format_version = kSnapshotFormatV1;
 
   const text::Vocabulary& vocab() const { return tables->vocab; }
   const std::vector<std::string>& relation_names() const {
@@ -139,8 +128,6 @@ struct Snapshot {
 /// section so the file also carries the int8 serving weights. Passing
 /// `knn` (dim- and relation-matched) appends the optional ANNI section so
 /// the serve tier can kNN-interpolate long-tail predictions.
-/// `format_version` selects the layout; v2 (the default) is required for
-/// zero-copy opens and delta generations.
 [[nodiscard]] util::Status SaveSnapshot(
     const re::PaModel& model, const text::Vocabulary& vocab,
     const graph::EmbeddingStore& embeddings,
@@ -149,8 +136,7 @@ struct Snapshot {
     const re::BagDatasetOptions& bag_options, uint64_t trained_steps,
     const std::string& notes, const std::string& path,
     const graph::QuantizedEmbeddingStore* quantized = nullptr,
-    const re::KnnPredictor* knn = nullptr,
-    int format_version = kSnapshotFormatV2);
+    const re::KnnPredictor* knn = nullptr);
 
 /// Convenience overload that pulls relation names and the entity table
 /// (names + type ids) from a knowledge graph.
@@ -160,12 +146,10 @@ struct Snapshot {
     const re::BagDatasetOptions& bag_options, uint64_t trained_steps,
     const std::string& notes, const std::string& path,
     const graph::QuantizedEmbeddingStore* quantized = nullptr,
-    const re::KnnPredictor* knn = nullptr,
-    int format_version = kSnapshotFormatV2);
+    const re::KnnPredictor* knn = nullptr);
 
-/// Loads and validates a snapshot (either version, dispatched on the
-/// header); the returned model reproduces the saved model's inference
-/// outputs bit-for-bit.
+/// Maps and validates a snapshot; the returned model reproduces the saved
+/// model's inference outputs bit-for-bit.
 [[nodiscard]] util::StatusOr<Snapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace imr::serve

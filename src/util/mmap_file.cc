@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "util/logging.h"
@@ -20,14 +21,21 @@ bool MmapDisabled() {
   return flag != nullptr && flag[0] != '\0' && flag[0] != '0';
 }
 
+/// A heap block of at least `size` bytes on a 64-byte boundary (fallback
+/// mode). A mapping starts on a page, so offsets the snapshot format aligns
+/// to 64 bytes are aligned in memory; the fallback buffer must keep that.
+uint8_t* AllocateAligned(size_t size) {
+  constexpr size_t kAlign = 64;
+  const size_t rounded = (size + kAlign) / kAlign * kAlign;  // never 0
+  return static_cast<uint8_t*>(std::aligned_alloc(kAlign, rounded));
+}
+
 /// Reads the whole file behind `fd` into `out` (fallback mode).
-Status ReadAll(int fd, size_t size, const std::string& path,
-               std::vector<uint8_t>* out) {
-  out->resize(size);
+Status ReadAll(int fd, size_t size, const std::string& path, uint8_t* out) {
   size_t done = 0;
   while (done < size) {
     const ssize_t got =
-        ::pread(fd, out->data() + done, size - done, static_cast<off_t>(done));
+        ::pread(fd, out + done, size - done, static_cast<off_t>(done));
     if (got < 0) return IoError("read failed for '" + path + "'");
     if (got == 0) {
       return IoError(StrFormat("file '%s' shrank while reading (wanted %zu "
@@ -68,9 +76,13 @@ StatusOr<std::shared_ptr<MmapFile>> MmapFile::Open(const std::string& path) {
     // mmap unavailable (filesystem, rlimit, ...): fall through to the read
     // fallback rather than failing the load.
   }
-  const Status read = ReadAll(fd, file->size_, path, &file->heap_);
+  file->heap_.reset(AllocateAligned(file->size_));
+  if (file->heap_ == nullptr) {
+    return IoError("cannot allocate a read buffer for '" + path + "'");
+  }
+  const Status read = ReadAll(fd, file->size_, path, file->heap_.get());
   if (!read.ok()) return read;
-  file->data_ = file->heap_.data();
+  file->data_ = file->heap_.get();
   return file;
 }
 
@@ -91,15 +103,19 @@ StatusOr<std::shared_ptr<MmapFile>> MmapFile::PrivateCopy() const {
     copy->data_ = static_cast<uint8_t*>(map);
     return copy;
   }
-  copy->heap_.assign(data_, data_ + size_);
-  copy->data_ = copy->heap_.data();
+  copy->heap_.reset(AllocateAligned(size_));
+  if (copy->heap_ == nullptr) {
+    return IoError("cannot allocate a private copy of '" + path_ + "'");
+  }
+  std::memcpy(copy->heap_.get(), data_, size_);
+  copy->data_ = copy->heap_.get();
   return copy;
 }
 
 uint8_t* MmapFile::mutable_data() {
   IMR_CHECK(writable_);
   if (map_ != nullptr) return static_cast<uint8_t*>(map_);
-  return heap_.data();
+  return heap_.get();
 }
 
 }  // namespace imr::util

@@ -1,5 +1,5 @@
 // Read-only memory-mapped file with RAII unmap — the storage layer for
-// zero-copy (IMRS v2) snapshot loading. The mapping retains its file
+// zero-copy IMRS snapshot loading. The mapping retains its file
 // descriptor, so the bytes stay valid even after the path is unlinked or
 // replaced on disk: a serving generation can keep borrowing rows from a
 // snapshot whose file a deployer already rotated away.
@@ -7,9 +7,11 @@
 // Two modes, one interface:
 //   - mapped:   mmap(MAP_PRIVATE, PROT_READ); pages fault in lazily, so
 //               opening a multi-GB snapshot costs O(header), not O(bytes).
-//   - fallback: the whole file read into an owned heap buffer. Selected
-//               when mmap is unavailable (or forced with IMR_NO_MMAP=1 so
-//               tests can exercise the path on any host).
+//   - fallback: the whole file read into an owned heap buffer, 64-byte
+//               aligned so the snapshot's 64-byte-aligned arrays stay
+//               aligned in memory. Selected when mmap is unavailable, or
+//               forced with IMR_NO_MMAP=1 (ctest's serve_test_no_mmap entry
+//               runs the snapshot and delta suites that way).
 //
 // PrivateCopy() is the delta-apply primitive: it returns a fresh WRITABLE
 // MAP_PRIVATE view of the same file bytes. The kernel copy-on-writes only
@@ -20,9 +22,9 @@
 #define IMR_UTIL_MMAP_FILE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -58,12 +60,16 @@ class MmapFile {
   uint8_t* mutable_data();
 
  private:
+  struct FreeDeleter {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
   int fd_ = -1;            // retained for PrivateCopy after unlink
   void* map_ = nullptr;    // mmap base; nullptr in fallback mode
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   bool writable_ = false;
-  std::vector<uint8_t> heap_;  // fallback storage
+  std::unique_ptr<uint8_t, FreeDeleter> heap_;  // fallback storage
   std::string path_;
 };
 

@@ -63,11 +63,6 @@ void BinaryWriter::WriteFloatVector(const std::vector<float>& values) {
   WriteRaw(values.data(), values.size() * sizeof(float));
 }
 
-void BinaryWriter::WriteByteVector(const std::vector<int8_t>& values) {
-  WriteU64(values.size());
-  WriteRaw(values.data(), values.size());
-}
-
 void BinaryWriter::WriteIntVector(const std::vector<int>& values) {
   WriteU64(values.size());
   for (int value : values) WriteI64(value);
@@ -231,18 +226,6 @@ std::vector<float> BinaryReader::ReadFloatVector() {
   }
   std::vector<float> values(size);
   ReadRaw(values.data(), size * sizeof(float));
-  return values;
-}
-
-std::vector<int8_t> BinaryReader::ReadByteVector() {
-  const uint64_t size = ReadU64();
-  if (!status_.ok()) return {};
-  if (size > remaining()) {
-    FailCorruptLength("byte vector");
-    return {};
-  }
-  std::vector<int8_t> values(size);
-  ReadRaw(values.data(), size);
   return values;
 }
 

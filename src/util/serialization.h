@@ -6,9 +6,9 @@
 //
 // Readers come in two modes sharing one API:
 //   - file mode: streams from an ifstream (the classic parse-and-copy path)
-//   - view mode: walks an in-memory byte range (an mmap'd snapshot section)
-//     without copying; offset() still reports absolute file offsets so error
-//     messages stay diagnosable
+//   - view mode: walks an in-memory byte range (an mmap'd snapshot section
+//     or delta file) without copying; offset() still reports absolute file
+//     offsets so error messages stay diagnosable
 // Every length-prefixed read validates the length against the bytes actually
 // remaining, so a corrupt count fails with a Status before any allocation —
 // never an OOM or a multi-GB vector resize.
@@ -48,23 +48,21 @@ class BinaryWriter {
   void WriteDouble(double value);
   void WriteString(const std::string& value);
   void WriteFloatVector(const std::vector<float>& values);
-  /// Length-prefixed raw byte payload; the bulk carrier for quantized
-  /// (int8) tensors.
-  void WriteByteVector(const std::vector<int8_t>& values);
   /// Length-prefixed vector of ints (stored as i64 each; meant for small
   /// id lists like entity types, not bulk data).
   void WriteIntVector(const std::vector<int>& values);
 
-  /// Unprefixed raw bytes — the bulk carrier for v2 zero-copy sections,
-  /// whose sizes live in the trailing offset table instead of inline.
+  /// Unprefixed raw bytes — the bulk carrier for zero-copy snapshot
+  /// sections, whose sizes live in the trailing offset table instead of
+  /// inline.
   void WriteRawBytes(const void* data, size_t size);
   /// Zero-fills until offset() is a multiple of `alignment` (a power of
   /// two), so mmap'd payloads start on cache-line / SIMD-safe boundaries.
   void PadTo(size_t alignment);
 
   /// Content hashing: every byte written while enabled folds into an
-  /// FNV-1a running hash. The v2 snapshot writer enables it after the
-  /// header and records hash() in the footer as the file's identity.
+  /// FNV-1a running hash. The snapshot writer enables it after the header
+  /// and records hash() in the footer as the file's identity.
   void StartHashing(uint64_t seed = kFnvOffsetBasis);
   void StopHashing();
   uint64_t hash() const { return hash_; }
@@ -90,10 +88,10 @@ class BinaryReader {
   BinaryReader(const std::string& path, uint32_t magic, uint32_t version);
 
   /// View mode: walks `[data, data + size)` in memory with NO header —
-  /// the caller (the v2 snapshot reader) already validated framing and
-  /// hands in one section's byte range. `label` names the backing file and
-  /// `base_offset` is the range's absolute file offset, so errors report
-  /// real file positions.
+  /// the caller (the snapshot or delta reader) already validated framing
+  /// and hands in one section's byte range. `label` names the backing file
+  /// and `base_offset` is the range's absolute file offset, so errors
+  /// report real file positions.
   BinaryReader(const std::string& label, const void* data, size_t size,
                uint64_t base_offset);
 
@@ -113,7 +111,6 @@ class BinaryReader {
   double ReadDouble();
   std::string ReadString();
   std::vector<float> ReadFloatVector();
-  std::vector<int8_t> ReadByteVector();
   std::vector<int> ReadIntVector();
 
   /// Unprefixed raw bytes into caller storage — the counterpart of

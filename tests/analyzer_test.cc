@@ -202,6 +202,79 @@ void ColdMaintenance() {
   EXPECT_TRUE(ForRule(report.findings, "hot-path-blocking").empty());
 }
 
+// The ANN/kNN query paths are default entry points: they promise an
+// allocation-free steady state, so a naked std::vector<float> in a Search*
+// or Interpolate* body is reported, while Build paths may allocate freely.
+
+TEST(HotPathTest, DetectsAllocationInsideAnnSearchBody) {
+  const std::string src = R"cc(
+namespace imr::graph::ann {
+void FlatIndex::Search(const float* query, int k,
+                       std::vector<SearchResult>* out) const {
+  std::vector<float> scores(static_cast<size_t>(rows_));
+  (void)scores;
+}
+}  // namespace imr::graph::ann
+)cc";
+  const analysis::AnalysisReport report =
+      Analyze({{"src/graph/ann/flat_index.cc", src}});
+  const auto allocs = ForRule(report.findings, "hot-path-alloc");
+  ASSERT_EQ(allocs.size(), 1u);
+  EXPECT_EQ(allocs[0].file, "src/graph/ann/flat_index.cc");
+  EXPECT_EQ(allocs[0].line, 5);
+}
+
+TEST(HotPathTest, DetectsAllocationInsideInterpolateBody) {
+  const std::string src = R"cc(
+bool KnnPredictor::Interpolate(const float* mr,
+                               std::vector<float>* probs) const {
+  std::vector<float> vote(static_cast<size_t>(num_relations_), 0.0f);
+  (void)vote;
+  return true;
+}
+)cc";
+  const analysis::AnalysisReport report =
+      Analyze({{"src/re/knn_predictor.cc", src}});
+  const auto allocs = ForRule(report.findings, "hot-path-alloc");
+  ASSERT_EQ(allocs.size(), 1u);
+  EXPECT_EQ(allocs[0].file, "src/re/knn_predictor.cc");
+  EXPECT_EQ(allocs[0].line, 4);
+}
+
+TEST(HotPathTest, DetectsAllocationInsideInheritedSearchBatch) {
+  // IvfIndex inherits AnnIndex's SearchBatch, so the base class is an
+  // entry point of its own.
+  const std::string src = R"cc(
+void AnnIndex::SearchBatch(const float* queries, int num_queries, int k,
+                           std::vector<std::vector<SearchResult>>* out) const {
+  std::vector<float> scratch(static_cast<size_t>(k));
+  (void)scratch;
+}
+)cc";
+  const analysis::AnalysisReport report =
+      Analyze({{"src/graph/ann/ann_index.cc", src}});
+  const auto allocs = ForRule(report.findings, "hot-path-alloc");
+  ASSERT_EQ(allocs.size(), 1u);
+  EXPECT_EQ(allocs[0].line, 4);
+}
+
+TEST(HotPathTest, AnnBuildPathsMayAllocate) {
+  const std::string src = R"cc(
+void IvfIndex::Build(const float* data, int rows, int dim) {
+  std::vector<float> work(static_cast<size_t>(rows) * dim);
+  (void)work;
+}
+void IvfIndex::Search(const float* query, int k,
+                      std::vector<SearchResult>* out) const {
+  const size_t n = tensor::internal::AcquireBuffer(cells_, &scores);
+  (void)n;
+}
+)cc";
+  const analysis::AnalysisReport report =
+      Analyze({{"src/graph/ann/ivf_index.cc", src}});
+  EXPECT_TRUE(ForRule(report.findings, "hot-path-alloc").empty());
+}
+
 // ---- Status propagation --------------------------------------------------
 
 constexpr const char* kStatusFixture = R"cc(namespace fix {

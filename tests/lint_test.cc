@@ -430,97 +430,12 @@ void Justified(Shard& shard) {
   EXPECT_TRUE(LintSource("src/serve/cold.cc", source).empty());
 }
 
-TEST(LintTest, AnnSearchAllocFiresInsideSearchBody) {
-  const std::string source = R"cc(
-namespace imr::graph::ann {
-void FlatIndex::Search(const float* query, int k,
-                       std::vector<SearchResult>* out) const {
-  std::vector<float> scores(static_cast<size_t>(rows_));
-  (void)scores;
-}
-}  // namespace imr::graph::ann
-)cc";
-  const auto findings = LintSource("src/graph/ann/flat_index.cc", source);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "ann-search-alloc");
-  EXPECT_EQ(findings[0].line, 5);
-}
-
-TEST(LintTest, AnnSearchAllocFiresInsideInterpolateBody) {
-  const std::string source = R"cc(
-bool KnnPredictor::Interpolate(const float* mr,
-                               std::vector<float>* probs) const {
-  std::vector<float> vote(static_cast<size_t>(num_relations_), 0.0f);
-  (void)vote;
-  return true;
-}
-)cc";
-  const auto findings = LintSource("src/re/knn_predictor.cc", source);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "ann-search-alloc");
-}
-
-TEST(LintTest, AnnSearchAllocLeavesBuildPathsAlone) {
-  // Build may allocate freely; only Search/SearchBatch/Interpolate bodies
-  // carry the allocation-free contract.
-  const std::string source = R"cc(
-void IvfIndex::Build(const float* data, int rows, int dim) {
-  std::vector<float> work(static_cast<size_t>(rows) * dim);
-  (void)work;
-}
-void IvfIndex::Search(const float* query, int k,
-                      std::vector<SearchResult>* out) const {
-  const size_t n = tensor::internal::AcquireBuffer(cells_, &scores);
-  (void)n;
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/graph/ann/ivf_index.cc", source).empty());
-}
-
-TEST(LintTest, AnnSearchAllocSkipsDeclarationsAndCallSites) {
-  const std::string source = R"cc(
-void Search(const float* query, int k, std::vector<SearchResult>* out) const;
-void Caller() {
-  index.Search(query, 10, &results);
-  if (knn->Interpolate(mr, &probs)) {
-    std::vector<float> copy(probs);
-    (void)copy;
-  }
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/graph/ann/ann_index.cc", source).empty());
-}
-
-TEST(LintTest, AnnSearchAllocOnlyAppliesToAnnSearchPaths) {
-  const std::string source = R"cc(
-void Thing::Search(const float* q, int k, std::vector<SearchResult>* out) {
-  std::vector<float> scratch(8);
-  (void)scratch;
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/eval/metrics.cc", source).empty());
-  EXPECT_TRUE(LintSource("tests/ann_test.cc", source).empty());
-}
-
-TEST(LintTest, AnnSearchAllocHonorsAllowEscape) {
-  const std::string source = R"cc(
-void FlatIndex::Search(const float* q, int k,
-                       std::vector<SearchResult>* out) const {
-  // imr-lint: allow(ann-search-alloc)
-  std::vector<float> justified(4);
-  (void)justified;
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/graph/ann/flat_index.cc", source).empty());
-}
-
 TEST(LintTest, RuleIdsAreStable) {
   const std::vector<std::string> expected = {
       "no-raw-random", "no-naked-new", "no-throw",
       "no-iostream",   "mutex-guard",  "include-hygiene",
       "kernel-alloc",  "optimizer-dense-grad", "raw-intrinsics",
-      "blocking-under-shard-lock", "ann-search-alloc",
-      "snapshot-full-copy"};
+      "blocking-under-shard-lock"};
   EXPECT_EQ(RuleIds(), expected);
 }
 
@@ -563,47 +478,6 @@ void A() { throw 1; }
 )cc";
   EXPECT_EQ(Rules(LintSource("src/util/fixture.cc", source)),
             (std::vector<std::string>{"no-throw"}));
-}
-
-TEST(LintTest, SnapshotFullCopyFiresOnBulkDeserializeInServe) {
-  const std::string source = R"cc(
-util::Status LoadTables(util::BinaryReader* reader, Snapshot* out) {
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);
-  auto quantized = graph::QuantizedEmbeddingStore::ReadFrom(reader);
-  auto scales = reader->ReadFloatVector();
-  auto rows = reader->ReadByteVector();
-  return util::OkStatus();
-}
-)cc";
-  const auto findings = LintSource("src/serve/bad_loader.cc", source);
-  ASSERT_EQ(findings.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(findings[static_cast<size_t>(i)].rule, "snapshot-full-copy");
-    EXPECT_EQ(findings[static_cast<size_t>(i)].line, 3 + i);
-  }
-}
-
-TEST(LintTest, SnapshotFullCopyOnlyAppliesToServe) {
-  // The same calls are the sanctioned idiom everywhere else (training
-  // checkpoints, tools) — only the serve load path promises O(header).
-  const std::string source = R"cc(
-util::Status Load(util::BinaryReader* reader) {
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);
-  return util::OkStatus();
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/graph/checkpoint.cc", source).empty());
-}
-
-TEST(LintTest, SnapshotFullCopyHonorsAllowEscape) {
-  const std::string source = R"cc(
-util::Status LoadV1(util::BinaryReader* reader) {
-  // v1 has no offset table, the copy is the format's cost:
-  auto embeddings = graph::EmbeddingStore::ReadFrom(reader);  // imr-lint: allow(snapshot-full-copy)
-  return util::OkStatus();
-}
-)cc";
-  EXPECT_TRUE(LintSource("src/serve/v1_loader.cc", source).empty());
 }
 
 TEST(LintTest, RawStringLiteralContentsAreBlanked) {

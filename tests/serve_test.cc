@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "datagen/presets.h"
 #include "graph/line.h"
@@ -1210,55 +1211,34 @@ TEST(SnapshotWatcherTest, BackgroundThreadPicksUpChanges) {
   std::remove(watched.c_str());
 }
 
-// ---- format compat (v1 <-> v2) --------------------------------------------
+// ---- format compat ---------------------------------------------------------
 //
 // check.sh's snapshot-compat stage runs exactly `SnapshotCompat*`.
 
-TEST(SnapshotCompatTest, V1WrittenByCurrentWriterLoadsBitIdentical) {
-  ServeFixture& f = Shared();
-  const std::string v1_path = testing::TempDir() + "/imr_compat_v1.imrs";
-  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
-                                  f.embeddings, f.dataset->world.graph,
-                                  f.bag_options, /*trained_steps=*/8,
-                                  "compat", v1_path, nullptr, nullptr,
-                                  serve::kSnapshotFormatV1)
-                  .ok());
-  auto v1 = serve::LoadSnapshot(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1->format_version, serve::kSnapshotFormatV1);
-  EXPECT_FALSE(v1->embeddings.borrowed());  // v1 parses into owned storage
-  EXPECT_EQ(v1->mapping, nullptr);
-  EXPECT_EQ(v1->content_hash, 0u);  // v1 files carry no identity hash
-
-  auto v2 = serve::LoadSnapshot(f.snapshot_path);  // the fixture file is v2
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-
-  // Same bundle through both layouts: identical tables, embeddings, and
-  // bit-identical model outputs.
-  EXPECT_EQ(v1->vocab().size(), v2->vocab().size());
-  EXPECT_EQ(v1->relation_names(), v2->relation_names());
-  ASSERT_EQ(v1->entities().size(), v2->entities().size());
-  EXPECT_EQ(v1->entities()[0].name, v2->entities()[0].name);
-  ASSERT_EQ(v1->embeddings.value_count(), v2->embeddings.value_count());
-  EXPECT_EQ(std::memcmp(v1->embeddings.raw(), v2->embeddings.raw(),
-                        v1->embeddings.value_count() * sizeof(float)),
-            0);
-  int checked = 0;
-  for (const re::Bag& bag : f.bags->test_bags()) {
-    EXPECT_EQ(v1->model->Predict(bag), v2->model->Predict(bag));
-    if (++checked >= 5) break;
-  }
-  std::remove(v1_path.c_str());
+TEST(SnapshotCompatTest, Version1FileIsRejectedAsUnsupported) {
+  // v2 is the only format: a file whose version field says 1 fails on
+  // that field with the same clean Status as any other unknown version,
+  // before a single section is parsed.
+  std::string bytes = SlurpSnapshot();
+  const uint32_t version = 1;
+  std::memcpy(bytes.data() + 4, &version, sizeof version);
+  const util::Status status = LoadMutated(bytes, "imr_compat_v1.imrs");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("imr_compat_v1.imrs"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("file has 1"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SnapshotCompatTest, V2OpensZeroCopyWithContentHash) {
   ServeFixture& f = Shared();
   auto v2 = serve::LoadSnapshot(f.snapshot_path);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_EQ(v2->format_version, serve::kSnapshotFormatV2);
   EXPECT_TRUE(v2->embeddings.borrowed());  // views into the mapping
   ASSERT_NE(v2->mapping, nullptr);
-  EXPECT_TRUE(v2->layout.valid);
   EXPECT_NE(v2->content_hash, 0u);
   // The borrowed rows point into the mapped file, on a 64-byte boundary.
   const auto* raw = reinterpret_cast<const uint8_t*>(v2->embeddings.raw());
@@ -1275,6 +1255,42 @@ TEST(SnapshotCompatTest, V2OpensZeroCopyWithContentHash) {
   ASSERT_LT(footer_offset, bytes.size());
   EXPECT_EQ(util::Fnv1a(bytes.data() + 8, footer_offset - 8),
             v2->content_hash);
+}
+
+TEST(SnapshotCompatTest, BulkArraysAre64ByteAlignedInMemory) {
+  // The format aligns the EMBD and QEMB arrays to 64 bytes within the
+  // file, which holds in memory only if the mapping (or the IMR_NO_MMAP
+  // read buffer, or a delta's private copy of either) starts on a 64-byte
+  // boundary. Several live opens, so one lucky heap placement cannot hide a
+  // misaligned buffer.
+  ServeFixture& f = Shared();
+  std::vector<serve::Snapshot> live;
+  for (int i = 0; i < 4; ++i) {
+    auto snapshot = serve::LoadSnapshot(f.snapshot_b_path);  // carries QEMB
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    live.push_back(std::move(*snapshot));
+  }
+  const std::string delta_path = testing::TempDir() + "/imr_aligned.imrd";
+  serve::DeltaSpec spec;
+  spec.touched_rows = {0};
+  ASSERT_TRUE(serve::SaveDelta(live[0].content_hash, f.embeddings_b, nullptr,
+                               spec, delta_path)
+                  .ok());
+  for (int i = 0; i < 2; ++i) {
+    auto applied = serve::ApplyDelta(live[0], delta_path);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    live.push_back(std::move(*applied));
+  }
+  std::remove(delta_path.c_str());
+  for (const serve::Snapshot& snapshot : live) {
+    ASSERT_FALSE(snapshot.quantized_embeddings.empty());
+    const void* arrays[] = {snapshot.embeddings.raw(),
+                            snapshot.quantized_embeddings.raw(),
+                            snapshot.quantized_embeddings.raw_scales()};
+    for (const void* array : arrays) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(array) % 64, 0u);
+    }
+  }
 }
 
 TEST(SnapshotCompatTest, V2RejectedBySimulatedV1Reader) {
@@ -1334,7 +1350,6 @@ TEST(DeltaTest, HeaderProbeAndRowPatchRoundTrip) {
   auto applied = serve::ApplyDelta(*base, delta_path);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(applied->content_hash, *result_hash);
-  EXPECT_EQ(applied->format_version, serve::kSnapshotFormatV2);
   EXPECT_TRUE(applied->embeddings.borrowed());  // views over the CoW clone
   ASSERT_NE(applied->mapping, nullptr);
   EXPECT_NE(applied->mapping, base->mapping);  // private clone, not the base
@@ -1533,50 +1548,134 @@ TEST(DeltaTest, ChainedDeltasComposeAcrossGenerations) {
   std::remove(d2.c_str());
 }
 
-TEST(DeltaTest, OwnedV1BaseFallbackStillApplies) {
+TEST(DeltaTest, BaseWithoutMappingFailsPrecondition) {
+  // Deltas patch a copy-on-write clone of the base's mapping; a generation
+  // assembled by hand (owned embeddings, nothing mapped) has nothing to
+  // clone and must fail cleanly, not dereference a null mapping.
   ServeFixture& f = Shared();
-  const auto quantized = graph::QuantizedEmbeddingStore::Quantize(f.embeddings);
-  const std::string v1_path = testing::TempDir() + "/imr_delta_v1.imrs";
-  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(),
-                                  f.embeddings, f.dataset->world.graph,
-                                  f.bag_options, 8, "v1", v1_path, &quantized,
-                                  nullptr, serve::kSnapshotFormatV1)
+  auto loaded = serve::LoadSnapshot(f.snapshot_path);
+  ASSERT_TRUE(loaded.ok());
+  const std::string delta_path = testing::TempDir() + "/imr_unmapped.imrd";
+  serve::DeltaSpec spec;
+  spec.touched_rows = {0};
+  ASSERT_TRUE(serve::SaveDelta(loaded->content_hash, f.embeddings, nullptr,
+                               spec, delta_path)
                   .ok());
-  auto base = serve::LoadSnapshot(v1_path);
-  ASSERT_TRUE(base.ok());
-  ASSERT_FALSE(base->embeddings.borrowed());
-  ASSERT_EQ(base->content_hash, 0u);  // v1: deltas chain on hash 0
+  serve::Snapshot unmapped;
+  unmapped.manifest = loaded->manifest;
+  unmapped.model = std::move(loaded->model);
+  unmapped.embeddings = f.embeddings;
+  unmapped.content_hash = loaded->content_hash;
+  auto applied = serve::ApplyDelta(unmapped, delta_path);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), util::StatusCode::kFailedPrecondition);
+  std::remove(delta_path.c_str());
+}
 
-  const std::vector<int> rows = {6, 13};
-  const graph::EmbeddingStore patched = PerturbRows(f.embeddings, rows);
-  const std::string delta_path = testing::TempDir() + "/imr_delta_v1.imrd";
+TEST(DeltaTest, AppliesOnlyVerifiedBytesWhilePathIsRenamedOver) {
+  // A publisher replaces a delta by renaming a finished file over the
+  // path. Here one thread renames a good delta and a copy with one flipped
+  // row byte (which fails its own hash check) over the same path in a
+  // loop, while this thread applies that path a fixed number of times.
+  // ApplyDelta must parse the bytes whose hash it verified, so every apply
+  // either fails the hash check or yields exactly the good delta's rows.
+  ServeFixture& f = Shared();
+  // A wide table, every row touched: each apply hashes and parses ~0.7 MB,
+  // long enough for the path to flip many times while it runs.
+  constexpr int kRows = 4096;
+  const int dim = f.embeddings.dim();
+  const size_t row_bytes = static_cast<size_t>(dim) * sizeof(float);
+  graph::EmbeddingStore table(kRows, dim);
+  for (int v = 0; v < kRows; ++v) {
+    std::memcpy(table.Vector(v),
+                f.embeddings.Vector(v % f.embeddings.num_vertices()),
+                row_bytes);
+  }
+  std::vector<std::string> relation_names;
+  for (const auto& schema : f.dataset->world.graph.relations())
+    relation_names.push_back(schema.name);
+  const std::string base_path = testing::TempDir() + "/imr_race_base.imrs";
+  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(), table,
+                                  relation_names, {}, f.bag_options, 1,
+                                  "race", base_path)
+                  .ok());
+  auto base = serve::LoadSnapshot(base_path);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  std::vector<int> rows(kRows);
+  for (int v = 0; v < kRows; ++v) rows[static_cast<size_t>(v)] = v;
+  const graph::EmbeddingStore patched = PerturbRows(table, rows);
+
+  // The path flips between two staged files: the good delta and a copy
+  // with one row byte flipped.
+  const std::string path = testing::TempDir() + "/imr_race.imrd";
+  const std::string staged[2] = {path + ".good", path + ".corrupt"};
   serve::DeltaSpec spec;
   spec.touched_rows = rows;
-  auto result_hash =
-      serve::SaveDelta(0, patched, nullptr, spec, delta_path);
-  ASSERT_TRUE(result_hash.ok());
+  auto result_hash = serve::SaveDelta(base->content_hash, patched, nullptr,
+                                      spec, staged[0]);
+  ASSERT_TRUE(result_hash.ok()) << result_hash.status().ToString();
+  std::string bytes;
+  {
+    std::ifstream in(staged[0], std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const size_t row_at = bytes.find(std::string(
+      reinterpret_cast<const char*>(patched.Vector(rows[0])), row_bytes));
+  ASSERT_NE(row_at, std::string::npos);
+  bytes[row_at + 1] = static_cast<char>(bytes[row_at + 1] ^ 0x10);
+  WriteFileAtomic(staged[1], bytes);
+  CopyFile(staged[0], path);
 
-  auto applied = serve::ApplyDelta(*base, delta_path);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_FALSE(applied->embeddings.borrowed());  // owned fallback
-  EXPECT_EQ(applied->content_hash, *result_hash);
-  EXPECT_EQ(std::memcmp(applied->embeddings.raw(), patched.raw(),
-                        patched.value_count() * sizeof(float)),
-            0);
-  // The owned fallback requantizes the whole patched store through the
-  // same kernel — bit-identical to quantizing from scratch.
-  ASSERT_FALSE(applied->quantized_embeddings.empty());
-  const auto requantized = graph::QuantizedEmbeddingStore::Quantize(patched);
-  EXPECT_EQ(std::memcmp(applied->quantized_embeddings.raw(),
-                        requantized.raw(), patched.value_count()),
-            0);
-  EXPECT_EQ(std::memcmp(applied->quantized_embeddings.raw_scales(),
-                        requantized.raw_scales(),
-                        static_cast<size_t>(patched.num_vertices()) *
-                            sizeof(float)),
-            0);
-  std::remove(v1_path.c_str());
-  std::remove(delta_path.c_str());
+  // Each publish hard-links a staged file to a temp name and renames it
+  // over the path: the same atomic replace as writing a temp file, but
+  // cheap enough to flip the path many times during one apply.
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    const std::string tmp = path + ".tmp";
+    for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const std::string& next = staged[(i + 1) % 2];
+      if (::link(next.c_str(), tmp.c_str()) == 0) {
+        IMR_CHECK_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
+      } else {
+        CopyFile(next, path);  // no hard links on this filesystem
+      }
+    }
+  });
+  constexpr int kApplies = 200;
+  int applied_ok = 0;
+  int rejected = 0;
+  for (int i = 0; i < kApplies; ++i) {
+    auto applied = serve::ApplyDelta(*base, path);
+    if (!applied.ok()) {
+      ++rejected;
+      EXPECT_NE(applied.status().message().find("content hash mismatch"),
+                std::string::npos)
+          << applied.status().ToString();
+      continue;
+    }
+    ++applied_ok;
+    EXPECT_EQ(applied->content_hash, *result_hash);
+    // No ASSERT while the publisher runs: an early return would leave its
+    // thread joinable.
+    const graph::EmbeddingStore& served = applied->embeddings;
+    int bad_row = -1;
+    for (int row : rows) {
+      if (std::memcmp(served.Vector(row), patched.Vector(row), row_bytes) !=
+          0) {
+        bad_row = row;
+        break;
+      }
+    }
+    EXPECT_EQ(bad_row, -1) << "apply " << i << " served unverified bytes";
+    if (bad_row != -1) break;
+  }
+  stop.store(true);
+  publisher.join();
+  for (const std::string& file : {path, staged[0], staged[1], base_path})
+    std::remove(file.c_str());
+  EXPECT_GT(applied_ok, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(DeltaTest, RouterReloadDeltaMatchesFullSnapshot) {

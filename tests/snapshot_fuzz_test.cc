@@ -1,9 +1,9 @@
 // Corruption fuzz-smoke for the snapshot/delta readers: seeded byte flips
-// and truncations over real v1, v2, and IMRD fixtures. The contract under
+// and truncations over real snapshot and IMRD fixtures. The contract under
 // test is narrow and absolute — LoadSnapshot / ReadDeltaHeader / ApplyDelta
 // NEVER crash on corrupt input. Every outcome is either an ok() load (a
-// flip the reader legitimately cannot see, e.g. in a v2 bulk payload whose
-// hash is identity-only) or a Status naming the file. Runs under the same
+// flip the reader legitimately cannot see, e.g. in a snapshot bulk payload
+// whose hash is identity-only) or a Status naming the file. Runs under the same
 // ASan/UBSan trees as the rest of the suite, so an out-of-bounds parse or
 // a corrupt-length allocation fails CI even when it does not segfault.
 #include <gtest/gtest.h>
@@ -30,8 +30,8 @@ namespace imr {
 namespace {
 
 // A small but fully populated snapshot bundle (untrained weights are fine:
-// the readers validate structure, not accuracy), saved in both formats,
-// plus a delta chained on the v2 file. Built once.
+// the readers validate structure, not accuracy), plus a delta chained on
+// it. Built once.
 struct FuzzFixture {
   FuzzFixture() {
     for (const char* word :
@@ -73,16 +73,9 @@ struct FuzzFixture {
     const auto quantized = graph::QuantizedEmbeddingStore::Quantize(embeddings);
     const std::vector<std::string> relation_names = {"NA", "r1", "r2"};
     v2_path = testing::TempDir() + "/imr_fuzz_v2.imrs";
-    v1_path = testing::TempDir() + "/imr_fuzz_v1.imrs";
     IMR_CHECK(serve::SaveSnapshot(*model, vocab, embeddings, relation_names,
                                   entities, {}, 1, "fuzz", v2_path,
-                                  &quantized, nullptr,
-                                  serve::kSnapshotFormatV2)
-                  .ok());
-    IMR_CHECK(serve::SaveSnapshot(*model, vocab, embeddings, relation_names,
-                                  entities, {}, 1, "fuzz", v1_path,
-                                  &quantized, nullptr,
-                                  serve::kSnapshotFormatV1)
+                                  &quantized)
                   .ok());
 
     auto loaded = serve::LoadSnapshot(v2_path);
@@ -107,7 +100,6 @@ struct FuzzFixture {
   std::vector<serve::EntityRecord> entities;
   std::unique_ptr<re::PaModel> model;
   std::unique_ptr<serve::Snapshot> base;
-  std::string v1_path;
   std::string v2_path;
   std::string delta_path;
 };
@@ -195,11 +187,6 @@ TEST(SnapshotFuzzTest, V2ByteFlipsNeverCrash) {
   FuzzByteFlips(bytes, "imr_fuzz_mut_v2.imrs", 400, 0xF00D, ProbeSnapshot);
 }
 
-TEST(SnapshotFuzzTest, V1ByteFlipsNeverCrash) {
-  const std::string bytes = Slurp(Fixture().v1_path);
-  FuzzByteFlips(bytes, "imr_fuzz_mut_v1.imrs", 300, 0xBEEF, ProbeSnapshot);
-}
-
 TEST(SnapshotFuzzTest, DeltaByteFlipsNeverCrash) {
   const std::string bytes = Slurp(Fixture().delta_path);
   // Deltas ARE hash-authenticated end to end (result_hash covers every
@@ -215,9 +202,7 @@ TEST(SnapshotFuzzTest, TruncationsNeverCrashOrHalfLoad) {
                   0x7777, ProbeSnapshot);
 }
 
-TEST(SnapshotFuzzTest, V1AndDeltaTruncationsNeverCrashOrHalfLoad) {
-  FuzzTruncations(Slurp(Fixture().v1_path), "imr_fuzz_trunc_v1.imrs", 30,
-                  0xABCD, ProbeSnapshot);
+TEST(SnapshotFuzzTest, DeltaTruncationsNeverCrashOrHalfLoad) {
   FuzzTruncations(Slurp(Fixture().delta_path), "imr_fuzz_trunc.imrd", 30,
                   0x1234, ProbeDelta);
 }

@@ -16,7 +16,8 @@
 namespace imr::analysis {
 namespace {
 
-constexpr uint64_t kModelFormatVersion = 1;
+// Bump whenever the model or the pass-1 rule set cached with it changes.
+constexpr uint64_t kModelFormatVersion = 2;
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
 // ---- tokenizer -----------------------------------------------------------
@@ -874,7 +875,9 @@ const std::vector<EntryPoint>& DefaultEntries() {
       {"InferenceEngine", "Predict"},
       // ANN query paths promise an allocation-free steady state (the
       // bench_ann p99 gate depends on it); "Search" also covers
-      // SearchBatch via prefix match.
+      // SearchBatch via prefix match, and AnnIndex holds the SearchBatch
+      // default IvfIndex inherits.
+      {"AnnIndex", "Search"},
       {"FlatIndex", "Search"},
       {"IvfIndex", "Search"},
       {"KnnPredictor", "Interpolate"},

@@ -20,10 +20,11 @@
 //   hot-path-alloc    streams, fopen, LoadSnapshot, sleeps) and
 //                     pool-bypassing allocations (`new`, malloc, naked
 //                     std::vector<float> construction) reachable through
-//                     the call graph from the training/serving entry
-//                     points (Trainer::Train*/ParallelBatchStep,
-//                     InferenceEngine::Predict*). Reported with the
-//                     entry -> ... -> sink call chain.
+//                     the call graph from the training/serving/query
+//                     entry points (Trainer::Train*/ParallelBatchStep,
+//                     InferenceEngine::Predict*, AnnIndex/FlatIndex/
+//                     IvfIndex::Search*, KnnPredictor::Interpolate*).
+//                     Reported with the entry -> ... -> sink call chain.
 //   status-drop       a util::Status / StatusOr local that is assigned
 //                     and then never read again — the discard pattern
 //                     -Werror=unused-result cannot see.
@@ -134,7 +135,8 @@ struct EntryPoint {
 
 struct AnalyzerOptions {
   /// Hot-path roots; empty selects the defaults (Trainer::Train*,
-  /// Trainer::ParallelBatchStep, InferenceEngine::Predict*).
+  /// Trainer::ParallelBatchStep, InferenceEngine::Predict*,
+  /// {AnnIndex, FlatIndex, IvfIndex}::Search*, KnnPredictor::Interpolate*).
   std::vector<EntryPoint> entries;
   /// Directory for the on-disk model cache; empty disables caching.
   std::string cache_dir;

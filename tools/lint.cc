@@ -219,16 +219,9 @@ class Linter {
       CheckMutexGuard();
     }
     if (relpath_ == "src/tensor/ops.cc") CheckKernelAlloc();
-    if (relpath_.rfind("src/graph/ann/", 0) == 0 ||
-        relpath_ == "src/re/knn_predictor.cc") {
-      CheckAnnSearchAlloc();
-    }
     if (relpath_ == "src/nn/optimizer.cc") CheckOptimizerDenseGrad();
     if (relpath_.rfind("src/tensor/simd/", 0) != 0) CheckRawIntrinsics();
-    if (relpath_.rfind("src/serve/", 0) == 0) {
-      CheckBlockingUnderShardLock();
-      CheckSnapshotFullCopy();
-    }
+    if (relpath_.rfind("src/serve/", 0) == 0) CheckBlockingUnderShardLock();
     CheckIncludeHygiene();
     std::sort(findings_.begin(), findings_.end(),
               [](const Finding& a, const Finding& b) {
@@ -356,27 +349,6 @@ class Linter {
   // temporaries; declarations initialised from a pool call
   // (`std::vector<float> out = AcquireBuffer(n)`), references, pointers and
   // nested vector types don't construct a fresh buffer and are left alone.
-  // V2 made snapshot opens O(header): the bulk arrays (EMBD fp32 matrix,
-  // QEMB int8 matrix + scales) are aliased straight out of the mmap, never
-  // parse-copied. A bulk deserialize call in serve code reintroduces the
-  // O(matrix) copy v2 exists to remove — usually by someone "fixing" a
-  // loader with the older copying idiom. The two sanctioned sites (the v1
-  // fallback loader's EMBD and QEMB reads in snapshot.cc) carry
-  // `imr-lint: allow(snapshot-full-copy)` with the justification inline.
-  void CheckSnapshotFullCopy() {
-    static const std::regex kPattern(
-        R"(\bReadFloatVector\s*\(|\bReadByteVector\s*\(|\b(?:Quantized)?EmbeddingStore::ReadFrom\s*\()");
-    for (size_t i = 0; i < scan_.code.size(); ++i) {
-      if (std::regex_search(scan_.code[i], kPattern)) {
-        Add("snapshot-full-copy", i,
-            "bulk parse-copy deserialization in serve code; v2 snapshots "
-            "alias bulk arrays out of the mapping (EmbeddingStore::View), "
-            "so opens stay O(header) — copying is reserved for the v1 "
-            "fallback, which must justify itself with an allow comment");
-      }
-    }
-  }
-
   void CheckKernelAlloc() {
     static const std::regex kPattern(
         R"(std::vector<float>\s*(?:[A-Za-z_]\w*\s*)?[({])");
@@ -386,92 +358,6 @@ class Linter {
             "naked std::vector<float> construction on the kernel hot path; "
             "acquire storage from tensor/buffer_pool.h (AcquireBuffer / "
             "AcquireBufferFill) so steady-state steps stay allocation-free");
-      }
-    }
-  }
-
-  // The ANN indexes advertise an allocation-free steady state for queries
-  // (graph/ann/ann_index.h): Search scratch comes from the tensor buffer
-  // pool and top-k selection reuses the caller's result vector. A naked
-  // std::vector<float> constructed inside a Search / SearchBatch /
-  // Interpolate body reintroduces a per-query heap allocation that the
-  // bench_ann latency gate would only surface as noise much later. Build
-  // paths may allocate freely — the check walks only the bodies of the
-  // search-path functions (definitions found by name, braces matched; a
-  // name followed by ';' is a declaration or call and is skipped).
-  void CheckAnnSearchAlloc() {
-    std::string flat;
-    std::vector<size_t> line_offset;
-    line_offset.reserve(scan_.code.size() + 1);
-    line_offset.push_back(0);
-    for (const std::string& line : scan_.code) {
-      flat += line;
-      flat += '\n';
-      line_offset.push_back(flat.size());
-    }
-    const auto line_of = [&line_offset](size_t pos) {
-      size_t lo = 0, hi = line_offset.size() - 1;
-      while (lo + 1 < hi) {
-        const size_t mid = (lo + hi) / 2;
-        if (line_offset[mid] <= pos) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
-    };
-    static const std::regex kSearchName(
-        R"(\b(?:Search|SearchBatch|Interpolate)\s*\()");
-    static const std::regex kNakedVector(
-        R"(std::vector<float>\s*(?:[A-Za-z_]\w*\s*)?[({])");
-    for (auto it = std::sregex_iterator(flat.begin(), flat.end(),
-                                        kSearchName);
-         it != std::sregex_iterator(); ++it) {
-      // Walk past the parameter list, then require a body: between the
-      // closing ')' and the '{' only qualifier tokens (const, noexcept,
-      // override, final) may appear — anything else (';', ')', ',') means
-      // a declaration, a call site, or a call inside a condition.
-      size_t pos = static_cast<size_t>(it->position()) + it->length();
-      size_t parens = 1;
-      while (pos < flat.size() && parens > 0) {
-        if (flat[pos] == '(') ++parens;
-        if (flat[pos] == ')') --parens;
-        ++pos;
-      }
-      bool is_definition = false;
-      while (pos < flat.size()) {
-        const char c = flat[pos];
-        if (c == '{') {
-          is_definition = true;
-          break;
-        }
-        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-            std::isspace(static_cast<unsigned char>(c))) {
-          ++pos;
-          continue;
-        }
-        break;
-      }
-      if (!is_definition) continue;
-      const size_t open = pos;
-      size_t depth = 1;
-      size_t close = open + 1;
-      while (close < flat.size() && depth > 0) {
-        if (flat[close] == '{') ++depth;
-        if (flat[close] == '}') --depth;
-        ++close;
-      }
-      const std::string body = flat.substr(open, close - open);
-      for (auto alloc =
-               std::sregex_iterator(body.begin(), body.end(), kNakedVector);
-           alloc != std::sregex_iterator(); ++alloc) {
-        Add("ann-search-alloc",
-            line_of(open + static_cast<size_t>(alloc->position())),
-            "naked std::vector<float> construction inside an ANN search-path "
-            "body (Search / SearchBatch / Interpolate); acquire scratch from "
-            "tensor/buffer_pool.h (AcquireBuffer / AcquireBufferFill) so "
-            "per-query work stays allocation-free");
       }
     }
   }
@@ -738,8 +624,7 @@ const std::vector<std::string>& RuleIds() {
       "no-raw-random", "no-naked-new",         "no-throw",
       "no-iostream",   "mutex-guard",          "include-hygiene",
       "kernel-alloc",  "optimizer-dense-grad", "raw-intrinsics",
-      "blocking-under-shard-lock", "ann-search-alloc",
-      "snapshot-full-copy"};
+      "blocking-under-shard-lock"};
   return kRules;
 }
 

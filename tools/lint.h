@@ -38,18 +38,13 @@
 //                     mutexes are leaf locks on the request hot path;
 //                     blocking under one serializes every request hashing
 //                     to that shard behind the slow operation
-//   snapshot-full-copy
-//                     bulk parse-copy deserialization (ReadFloatVector /
-//                     ReadByteVector / EmbeddingStore::ReadFrom /
-//                     QuantizedEmbeddingStore::ReadFrom) in src/serve/ —
-//                     v2 snapshots alias bulk arrays out of the mmap so
-//                     opens stay O(header); copying is reserved for the
-//                     v1 fallback sites, which carry explicit allows
 //
 // These per-line rules are pass 1 of the two-pass framework; pass 2 (the
 // cross-file structural analyses — lock-order cycles, hot-path
 // reachability, Status propagation) lives in tools/analyzer.h and reuses
-// the scanner exported below.
+// the scanner exported below. A pass-1 rule that pass 2 already enforces
+// goes: the allocation-free ANN/kNN query paths, for one, are hot-path-alloc
+// entry points rather than a per-file rule.
 //
 // Suppression: append `// imr-lint: allow(rule-id)` (comma-separated for
 // several rules) on the offending line or on the line directly above it.
