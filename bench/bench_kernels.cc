@@ -13,18 +13,38 @@
 // host with no vector ISA the A/B runs scalar-vs-scalar and records
 // parity instead of failing.
 //
+// The conv A/B times tensor::Conv1dSame per backend against the scalar
+// pin the same way, forward (eval) and a training step (forward, piecewise
+// max pool, backward), weight packing included, at the benchmark's encoder
+// dims and the paper's Table III dims. Results go to
+// bench_results/BENCH_conv.json.
+//
+// The PA-TMR step runs the real data-parallel training step
+// (bench/pa_step.h: re::Trainer, PCNN + ATT + MR + T at the benchmark's
+// encoder dims, batch 32) on four global threads and records its
+// steady-state pool misses and pooled bytes per step, twice: on one batch
+// of 32 bags that share one bag's sentences, so every chunk has the same
+// working set, and on 96 distinct training bags reshuffled every epoch,
+// where a thread's working set changes from batch to batch.
+//
 // Modes:
 //   bench_kernels            full sizes, writes BENCH_kernels.json,
-//                            BENCH_sparse.json and BENCH_simd.json
+//                            BENCH_sparse.json, BENCH_simd.json and
+//                            BENCH_conv.json
 //   bench_kernels --smoke    tiny sizes, no JSON; exits non-zero when the
-//                            warmed-up training step reports any pool miss
-//                            or the embedding step performs a dense
-//                            full-table gradient scan (SparseGradStats
-//                            dense_fallbacks != 0 or the touched-row count
-//                            is not a strict subset of the table), or when
-//                            kernel dispatch silently falls back to scalar
-//                            even though a vector ISA was detected and no
-//                            explicit pin asked for scalar.
+//                            warmed-up toy training step or the warmed-up
+//                            data-parallel PA-TMR step on equal-shape bags
+//                            reports any pool miss, that PA-TMR step's
+//                            pooled bytes grow from step to step (the
+//                            distinct-bag run's misses per batch are
+//                            printed, not gated: chunks with different
+//                            working sets may miss), the embedding step
+//                            performs a dense full-table gradient scan
+//                            (SparseGradStats dense_fallbacks != 0 or the
+//                            touched-row count is not a strict subset of
+//                            the table), or kernel dispatch silently falls
+//                            back to scalar even though a vector ISA was
+//                            detected and no explicit pin asked for scalar.
 //                            scripts/check.sh runs this as its bench-smoke
 //                            stage, so an allocation, sparsity or dispatch
 //                            regression on the hot path fails CI even
@@ -34,12 +54,15 @@
 //                            (scalar first) and exits; scripts/check.sh
 //                            iterates this list for its `simd` stage.
 //
-// Everything runs at threads = 1: these are single-kernel measurements, and
-// a single thread makes the steady-state pool-counter assertions exact.
+// Everything but the PA-TMR step runs at threads = 1: these are
+// single-kernel measurements, and a single thread makes the steady-state
+// pool-counter assertions exact.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,10 +70,12 @@
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
+#include "pa_step.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/tensor.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/tsv_writer.h"
 #include "util/thread_pool.h"
@@ -207,6 +232,23 @@ struct SimdRow {
   }
 };
 
+// One conv A/B at one shape: Conv1dSame with the eval backend pinned to
+// `backend` and to scalar, in alternating segments. `forward` is the
+// no-grad op; `step` a training step (grad-mode forward, which runs the
+// backend's exact conv, piecewise max pool, sum, backward).
+struct ConvRow {
+  std::string backend;
+  std::string dims;  // "benchmark" or "table3"
+  int time = 0, word_dim = 0, position_dim = 0, filters = 0, window = 3;
+  Timed vector_forward, scalar_forward;
+  Timed vector_step, scalar_step;
+
+  int input_dim() const { return word_dim + 2 * position_dim; }
+  double macs() const {
+    return static_cast<double>(time) * filters * window * input_dim();
+  }
+};
+
 struct Report {
   bool smoke = false;
   std::vector<OpRow> ops;
@@ -220,6 +262,12 @@ struct Report {
   Timed affine_unfused;
   // Row-sparse vs dense embedding steps, one row per vocab size.
   std::vector<SparseRow> sparse_steps;
+  // Conv A/B, one row per (vector backend, shape).
+  std::vector<ConvRow> conv;
+  // The warmed-up data-parallel PA-TMR step on equal-shape bags (the gate)
+  // and on distinct bags (reported).
+  bench::PaStepResult pa_step;
+  bench::PaStepResult pa_step_distinct;
 };
 
 // The same representative model the buffer-pool tests train: embedding
@@ -237,6 +285,22 @@ struct StepModel : nn::Module {
   nn::Linear proj;
   nn::Linear out;
 };
+
+// Both PA-TMR step runs on four global threads: the equal-shape batch
+// (one batch per epoch; three warm-up epochs, five measured) and 96
+// distinct training bags (three batches per epoch; ten warm-up epochs, as
+// the threads' working sets keep growing for a while, five measured).
+void RunPaModelSteps(bool smoke, Report* report) {
+  const std::unique_ptr<bench::PaStepSetup> setup =
+      bench::MakePaStepSetup(smoke ? 0.3 : 0.5);
+  report->pa_step = bench::RunDataParallelPaStep(
+      *setup, setup->same_shape_batch, /*warmup_epochs=*/3);
+  const std::vector<re::Bag>& train = setup->bags.train_bags();
+  IMR_CHECK_GE(train.size(), 96u);
+  const std::vector<re::Bag> distinct(train.begin(), train.begin() + 96);
+  report->pa_step_distinct =
+      bench::RunDataParallelPaStep(*setup, distinct, /*warmup_epochs=*/10);
+}
 
 Report RunAll(bool smoke) {
   Report report;
@@ -475,6 +539,70 @@ Report RunAll(bool smoke) {
     }
     tensor::ResetSparseGradStats();
   }
+
+  // Conv A/B: every compiled vector backend against the scalar pin, at the
+  // benchmark's encoder dims (word 16, position 3, 32 filters, 17 tokens)
+  // and the paper's Table III dims (50, 5, 230 filters, 30 and 120
+  // tokens). Smoke runs the benchmark shape only.
+  {
+    struct ConvShape {
+      const char* dims;
+      int time, word_dim, position_dim, filters;
+    };
+    std::vector<ConvShape> shapes = {{"benchmark", 17, 16, 3, 32}};
+    if (!smoke) {
+      shapes.push_back({"table3", 30, 50, 5, 230});
+      shapes.push_back({"table3", 120, 50, 5, 230});
+    }
+    for (const ConvShape& shape : shapes) {
+      const int dim = shape.word_dim + 2 * shape.position_dim;
+      Tensor x = nn::NormalInit({shape.time, dim}, 1.0f, &rng);
+      Tensor w = nn::NormalInit({shape.filters, 3 * dim}, 0.1f, &rng);
+      Tensor b = nn::NormalInit({shape.filters}, 0.1f, &rng);
+      x.set_requires_grad(true);
+      w.set_requires_grad(true);
+      b.set_requires_grad(true);
+      const int b1 = shape.time / 3, b2 = 2 * shape.time / 3;
+      auto forward = [&] {
+        tensor::NoGradGuard no_grad;
+        g_sink = g_sink + tensor::Conv1dSame(x, w, b, 3).data()[0];
+      };
+      auto step = [&] {
+        x.ZeroGrad();
+        w.ZeroGrad();
+        b.ZeroGrad();
+        Tensor loss = tensor::Sum(tensor::PiecewiseMaxOverRows(
+            tensor::Conv1dSame(x, w, b, 3), b1, b2));
+        loss.Backward();
+        g_sink = g_sink + loss.item();
+      };
+      for (tensor::simd::Backend backend : tensor::simd::SupportedBackends()) {
+        if (backend == tensor::simd::Backend::kScalar) continue;
+        ConvRow row;
+        row.backend = tensor::simd::BackendName(backend);
+        row.dims = shape.dims;
+        row.time = shape.time;
+        row.word_dim = shape.word_dim;
+        row.position_dim = shape.position_dim;
+        row.filters = shape.filters;
+        auto pinned = [](tensor::simd::Backend pin, auto& body) {
+          return [pin, &body] {
+            tensor::simd::ScopedEvalBackend scope(pin);
+            body();
+          };
+        };
+        RunPair(pinned(backend, forward),
+                pinned(tensor::simd::Backend::kScalar, forward), warmup,
+                min_seconds, &row.vector_forward, &row.scalar_forward);
+        RunPair(pinned(backend, step),
+                pinned(tensor::simd::Backend::kScalar, step), warmup,
+                min_seconds, &row.vector_step, &row.scalar_step);
+        report.conv.push_back(std::move(row));
+      }
+    }
+  }
+
+  RunPaModelSteps(smoke, &report);
   return report;
 }
 
@@ -514,6 +642,37 @@ void PrintReport(const Report& r) {
               r.step_unpooled.ns_per_call,
               r.step_pooled.acquires_per_call,
               static_cast<unsigned long long>(r.step_pooled.misses));
+  if (!r.conv.empty()) {
+    std::printf("\n%-8s %-10s %5s %4s %4s %14s %14s %8s %14s %14s %8s\n",
+                "backend", "dims", "time", "dim", "filt", "fwd ns",
+                "scalar fwd", "speedup", "step ns", "scalar step",
+                "speedup");
+    for (const ConvRow& c : r.conv) {
+      std::printf(
+          "%-8s %-10s %5d %4d %4d %14.0f %14.0f %8.2f %14.0f %14.0f %8.2f\n",
+          c.backend.c_str(), c.dims.c_str(), c.time, c.input_dim(),
+          c.filters, c.vector_forward.ns_per_call,
+          c.scalar_forward.ns_per_call,
+          Speedup(c.scalar_forward, c.vector_forward),
+          c.vector_step.ns_per_call, c.scalar_step.ns_per_call,
+          Speedup(c.scalar_step, c.vector_step));
+    }
+  }
+  auto print_pa = [](const char* name, const bench::PaStepResult& pa) {
+    std::printf("pa-tmr data-parallel step, %s (%d threads): %.2f "
+                "ms/epoch, %llu misses (%.2f per batch) and %lld bytes of "
+                "pooled growth over %d batches (%.1f acquires/batch)\n",
+                name, pa.threads, pa.ms_per_epoch,
+                static_cast<unsigned long long>(pa.misses),
+                pa.misses_per_batch(),
+                static_cast<long long>(pa.pooled_growth()), pa.batches,
+                pa.batches > 0
+                    ? static_cast<double>(pa.acquires) / pa.batches
+                    : 0.0);
+  };
+  std::printf("\n");
+  print_pa("equal-shape bags", r.pa_step);
+  print_pa("distinct bags", r.pa_step_distinct);
   for (const SparseRow& s : r.sparse_steps) {
     std::printf("embed step  vocab=%-7d sparse %12.0f ns/step (%.2fx vs "
                 "dense %12.0f ns/step), touched %llu/%llu rows over 5 "
@@ -615,6 +774,56 @@ bool WriteSimdJson(const Report& r, const std::string& path) {
   return true;
 }
 
+// The conv A/B and the PA-TMR steps get their own file: per (backend,
+// shape) forward and training-step times against the scalar pin, with
+// packing included, and both data-parallel runs' pool counters.
+bool WriteConvJson(const Report& r, const std::string& path) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  std::fprintf(out, "{\n  \"threads\": 1,\n  \"window\": 3,\n"
+                    "  \"conv\": [\n");
+  for (size_t i = 0; i < r.conv.size(); ++i) {
+    const ConvRow& c = r.conv[i];
+    std::fprintf(
+        out,
+        "    {\"backend\": \"%s\", \"dims\": \"%s\", \"time\": %d, "
+        "\"word_dim\": %d, \"position_dim\": %d, \"input_dim\": %d, "
+        "\"filters\": %d, \"macs\": %.0f, \"forward_ns\": %.1f, "
+        "\"scalar_forward_ns\": %.1f, \"forward_speedup\": %.4f, "
+        "\"step_ns\": %.1f, \"scalar_step_ns\": %.1f, "
+        "\"step_speedup\": %.4f, \"backward_ns\": %.1f, "
+        "\"scalar_backward_ns\": %.1f}%s\n",
+        c.backend.c_str(), c.dims.c_str(), c.time, c.word_dim,
+        c.position_dim, c.input_dim(), c.filters, c.macs(),
+        c.vector_forward.ns_per_call, c.scalar_forward.ns_per_call,
+        Speedup(c.scalar_forward, c.vector_forward),
+        c.vector_step.ns_per_call, c.scalar_step.ns_per_call,
+        Speedup(c.scalar_step, c.vector_step),
+        c.vector_step.ns_per_call - c.vector_forward.ns_per_call,
+        c.scalar_step.ns_per_call - c.scalar_forward.ns_per_call,
+        i + 1 < r.conv.size() ? "," : "");
+  }
+  auto write_pa = [out](const char* name, const bench::PaStepResult& pa,
+                       const char* suffix) {
+    std::fprintf(out,
+                 "  \"%s\": {\"threads\": %d, \"batches\": %d, "
+                 "\"ms_per_epoch\": %.3f, \"misses\": %llu, "
+                 "\"misses_per_batch\": %.3f, \"acquires\": %llu, "
+                 "\"pooled_growth_bytes\": %lld}%s\n",
+                 name, pa.threads, pa.batches, pa.ms_per_epoch,
+                 static_cast<unsigned long long>(pa.misses),
+                 pa.misses_per_batch(),
+                 static_cast<unsigned long long>(pa.acquires),
+                 static_cast<long long>(pa.pooled_growth()), suffix);
+  };
+  std::fprintf(out, "  ],\n");
+  write_pa("pa_tmr_data_parallel_step", r.pa_step, ",");
+  write_pa("pa_tmr_data_parallel_distinct_bags", r.pa_step_distinct, "");
+  std::fprintf(out, "}\n");
+  std::fclose(out);
+  return true;
+}
+
 // The sparse-vs-dense A/B gets its own file so the README can cite it and
 // downstream tooling can diff embedding-step numbers without parsing the
 // kernel table.
@@ -669,6 +878,19 @@ int Main(int argc, char** argv) {
                        report.step_pooled.misses));
       return 1;
     }
+    // The same for the real training step: a warmed-up data-parallel
+    // PA-TMR step on four threads neither misses nor grows the pools. Its
+    // chunks have equal working sets; the distinct-bag run is not gated.
+    const bench::PaStepResult& pa = report.pa_step;
+    if (pa.misses != 0 || pa.pooled_growth() != 0 || pa.epochs == 0) {
+      std::fprintf(stderr,
+                   "[bench_kernels] FAIL: warmed-up data-parallel PA-TMR "
+                   "step reported %llu pool misses and %lld bytes of pooled "
+                   "growth over %d steps (expected 0 and 0)\n",
+                   static_cast<unsigned long long>(pa.misses),
+                   static_cast<long long>(pa.pooled_growth()), pa.epochs);
+      return 1;
+    }
     // Second gate: a steady-state embedding step must stay row-sparse — no
     // dense full-table gradient scan, and the touched-row count must be a
     // non-empty strict subset of the table.
@@ -705,8 +927,9 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr,
-                 "[bench_kernels] smoke OK: steady-state training step ran "
-                 "with zero pool misses, zero dense full-table gradient "
+                 "[bench_kernels] smoke OK: steady-state training steps "
+                 "(toy and data-parallel PA-TMR) ran with zero pool misses "
+                 "and flat pooled bytes, zero dense full-table gradient "
                  "scans, and no silent scalar fallback (eval backend: "
                  "%s%s)\n",
                  tensor::simd::BackendName(
@@ -731,8 +954,15 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", simd_path.c_str());
     return 1;
   }
-  std::fprintf(stderr, "[bench_kernels] results written to %s, %s and %s\n",
-               path.c_str(), sparse_path.c_str(), simd_path.c_str());
+  const std::string conv_path = "bench_results/BENCH_conv.json";
+  if (!WriteConvJson(report, conv_path)) {
+    std::fprintf(stderr, "cannot write %s\n", conv_path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr,
+               "[bench_kernels] results written to %s, %s, %s and %s\n",
+               path.c_str(), sparse_path.c_str(), simd_path.c_str(),
+               conv_path.c_str());
   return 0;
 }
 

@@ -1,5 +1,7 @@
 #include "nn/module.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 #include "util/serialization.h"
 
@@ -101,8 +103,13 @@ util::Status Module::ReadParameters(util::BinaryReader* reader) {
           std::to_string(params[i].tensor.size()));
     }
   }
+  // Copy into the existing storage rather than replacing it: a parameter
+  // built by Tensor::Zeros/Full holds a pooled buffer, and replacing the
+  // vector would free that buffer behind the pool's back, so every model
+  // load would drain the loading thread's pool.
   for (size_t i = 0; i < params.size(); ++i) {
-    params[i].tensor.mutable_data() = std::move(values[i]);
+    std::copy(values[i].begin(), values[i].end(),
+              params[i].tensor.mutable_data().begin());
   }
   return util::OkStatus();
 }

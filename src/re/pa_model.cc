@@ -1,11 +1,15 @@
 #include "re/pa_model.h"
 
+#include <algorithm>
+
+#include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 
 namespace imr::re {
 
 using tensor::Tensor;
+using tensor::internal::AcquireBuffer;
 
 PaModel::PaModel(const PaModelConfig& config, util::Rng* rng)
     : config_(config) {
@@ -110,8 +114,13 @@ Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
   if (config_.use_mutual_relation) {
     IMR_CHECK_EQ(static_cast<int>(bag.mutual_relation.size()),
                  config_.mutual_relation_dim);
-    Tensor mr_input = Tensor::FromData({config_.mutual_relation_dim},
-                                       bag.mutual_relation);
+    // A pooled copy: storage the pool hands out comes back to it, so the
+    // per-bag MR vector does not blur the thread's working-set count.
+    std::vector<float> mr = AcquireBuffer(bag.mutual_relation.size());
+    std::copy(bag.mutual_relation.begin(), bag.mutual_relation.end(),
+              mr.begin());
+    Tensor mr_input =
+        Tensor::FromData({config_.mutual_relation_dim}, std::move(mr));
     Tensor c_mr = tensor::Softmax(
         HeadForward(*mr_head_, quantized_mr_head_.get(), mr_input));
     mixture = tensor::AddRowVector(mixture,

@@ -110,6 +110,8 @@ std::vector<EpochStats> Trainer::Train(
     history.push_back(stats);
     if (on_epoch && !on_epoch(stats)) break;
   }
+  // The chunk sinks' gradient buffers are not needed past this run.
+  grad_sinks_.clear();
   // Bring lazily-updated optimizer state (Adam's deferred row decay for
   // row-sparse embedding tables) fully up to date before the model is read.
   optimizer.Finalize();
@@ -127,26 +129,38 @@ double Trainer::ParallelBatchStep(
   // One data-parallel forward/backward over the batch. Chunk seeds are
   // drawn sequentially from the trainer rng up front (so its stream
   // advances identically at any worker count); each chunk builds its own
-  // graph with a private rng (dropout) and a gradient sink capturing its
-  // leaf gradients. Sinks merge into the shared grads in ascending chunk
-  // order afterwards. Each chunk loss is scaled by chunk_size / batch_size
-  // before backward, so the merged gradient equals the gradient of the
-  // global batch mean. Returns the batch mean loss.
+  // graph with a private rng (dropout) and its chunk's gradient sink
+  // capturing its leaf gradients. Sinks merge into the shared grads in
+  // ascending chunk order afterwards. Each chunk loss is scaled by
+  // chunk_size / batch_size before backward, so the merged gradient equals
+  // the gradient of the global batch mean. Returns the batch mean loss.
+  //
+  // The sinks live for the whole Train call (grad_sinks_), one per chunk
+  // index, and are reset between passes: a chunk's gradient buffers are
+  // reused batch after batch on whichever thread runs it, instead of being
+  // acquired on a worker and released on this thread every batch.
+  if (grad_sinks_.size() < static_cast<size_t>(chunks)) {
+    grad_sinks_.resize(static_cast<size_t>(chunks));
+  }
   auto run_pass = [&]() -> double {
     std::vector<uint64_t> seeds(static_cast<size_t>(chunks));
     for (uint64_t& s : seeds) s = rng_.Next();
-    std::vector<std::unique_ptr<tensor::internal::ScopedGradSink>> sinks(
-        static_cast<size_t>(chunks));
     std::vector<double> losses(static_cast<size_t>(chunks), 0.0);
     util::GlobalPool().ParallelForChunks(
         0, n, grain, [&](int64_t lo, int64_t hi, int64_t chunk) {
           const auto c = static_cast<size_t>(chunk);
           util::Rng chunk_rng(seeds[c]);
-          sinks[c] = std::make_unique<tensor::internal::ScopedGradSink>();
+          std::unique_ptr<tensor::internal::ScopedGradSink>& sink =
+              grad_sinks_[c];
+          if (sink == nullptr) {
+            sink = std::make_unique<tensor::internal::ScopedGradSink>();
+          } else {
+            sink->Activate();
+          }
           struct SinkGuard {
             tensor::internal::ScopedGradSink* sink;
             ~SinkGuard() { sink->Deactivate(); }
-          } guard{sinks[c].get()};
+          } guard{sink.get()};
           std::vector<const Bag*> chunk_bags(
               batch.begin() + static_cast<long>(lo),
               batch.begin() + static_cast<long>(hi));
@@ -157,7 +171,10 @@ double Trainer::ParallelBatchStep(
           losses[c] = static_cast<double>(loss.item()) *
                       static_cast<double>(hi - lo);
         });
-    for (auto& sink : sinks) sink->MergeIntoShared();
+    for (int64_t c = 0; c < chunks; ++c) {
+      grad_sinks_[static_cast<size_t>(c)]->MergeIntoShared();
+      grad_sinks_[static_cast<size_t>(c)]->Reset();
+    }
     double sum = 0.0;
     for (double l : losses) sum += l;
     return sum / static_cast<double>(n);

@@ -5,6 +5,7 @@
 #define IMR_RE_TRAINER_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "eval/heldout.h"
@@ -57,6 +58,9 @@ class Trainer {
   PaModel* model_;
   TrainerConfig config_;
   util::Rng rng_;
+  // ParallelBatchStep's gradient sinks, indexed by chunk, kept for one
+  // Train call so their buffers are reused from batch to batch.
+  std::vector<std::unique_ptr<tensor::internal::ScopedGradSink>> grad_sinks_;
 
   struct FgsmSnapshot {
     bool sparse = false;

@@ -12,13 +12,33 @@ namespace imr::tensor {
 
 namespace {
 
-// Caps keep a single thread's cache bounded: a bucket never holds more than
-// kMaxBuffersPerBucket buffers, and a pool past kMaxPooledBytes starts
-// freeing releases instead of caching them. Both are generous relative to a
-// training step's working set, so steady state never trips them.
-constexpr size_t kMaxBuffersPerBucket = 256;
+// A thread's pool keeps at most as many buffers of a size class (node
+// blocks of a size) as that thread has had out at once: its own working
+// set, learned from its acquires and releases. A thread that only releases
+// a class (buffers acquired elsewhere, or storage the pool never handed
+// out, such as a replaced model's parameters) keeps none of them. Past
+// kMaxPooledBytes a pool frees releases instead of caching them, a
+// backstop for a working set that is itself huge.
 constexpr size_t kMaxPooledBytes = size_t{256} << 20;  // 256 MiB per thread
 constexpr int kNumBuckets = 48;                        // 2^47 floats is plenty
+
+// One size class of one thread's pool: its cached storage, how much of the
+// class the thread has out now (acquires minus releases, floored at zero,
+// since a thread may release what another acquired), and the most it has
+// had out at once.
+template <typename Item>
+struct FreeList {
+  std::vector<Item> items;
+  size_t out = 0;
+  size_t high_water = 0;
+
+  void NoteAcquire() { high_water = std::max(high_water, ++out); }
+  // Records a release; true when the pool should cache it.
+  bool NoteRelease() {
+    if (out > 0) --out;
+    return items.size() < high_water;
+  }
+};
 
 int CeilLog2(size_t n) {
   // n >= 1. bit_width(n - 1) == ceil(log2(n)) for n >= 2, and 0 for n == 1.
@@ -99,10 +119,11 @@ class BufferPool {
       buffer_misses_.fetch_add(1, std::memory_order_relaxed);
       return std::vector<float>(n);
     }
-    auto& bucket = float_buckets_[bucket_index];
-    if (!bucket.empty()) {
-      std::vector<float> buffer = std::move(bucket.back());
-      bucket.pop_back();
+    FreeList<std::vector<float>>& bucket = float_buckets_[bucket_index];
+    bucket.NoteAcquire();
+    if (!bucket.items.empty()) {
+      std::vector<float> buffer = std::move(bucket.items.back());
+      bucket.items.pop_back();
       RecordRemoval(buffer.capacity() * sizeof(float));
       buffer_hits_.fetch_add(1, std::memory_order_relaxed);
       // Capacity >= 2^ceil_log2(n) >= n, so this never reallocates; new tail
@@ -131,22 +152,23 @@ class BufferPool {
     const size_t bytes = cap * sizeof(float);
     const int bucket_index = FloorLog2(cap);
     if (bucket_index >= kNumBuckets) return;
-    auto& bucket = float_buckets_[bucket_index];
-    if (bucket.size() >= kMaxBuffersPerBucket ||
+    FreeList<std::vector<float>>& bucket = float_buckets_[bucket_index];
+    if (!bucket.NoteRelease() ||
         pooled_bytes_.load(std::memory_order_relaxed) + bytes >
             kMaxPooledBytes) {
       return;  // let the vector destructor free it
     }
     pooled_buffers_.fetch_add(1, std::memory_order_relaxed);
     pooled_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    bucket.push_back(std::move(buffer));
+    bucket.items.push_back(std::move(buffer));
   }
 
   void* AcquireBytes(size_t bytes) {
-    auto it = byte_freelists_.find(bytes);
-    if (it != byte_freelists_.end() && !it->second.empty()) {
-      void* block = it->second.back();
-      it->second.pop_back();
+    FreeList<void*>& freelist = byte_freelists_[bytes];
+    freelist.NoteAcquire();
+    if (!freelist.items.empty()) {
+      void* block = freelist.items.back();
+      freelist.items.pop_back();
       pooled_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
       node_hits_.fetch_add(1, std::memory_order_relaxed);
       return block;
@@ -158,30 +180,31 @@ class BufferPool {
   }
 
   void ReleaseBytes(void* ptr, size_t bytes) {
-    auto& freelist = byte_freelists_[bytes];
-    if (freelist.size() >= kMaxBuffersPerBucket ||
+    FreeList<void*>& freelist = byte_freelists_[bytes];
+    if (!freelist.NoteRelease() ||
         pooled_bytes_.load(std::memory_order_relaxed) + bytes >
             kMaxPooledBytes) {
       ::operator delete(ptr);  // imr-lint: allow(no-naked-new)
       return;
     }
     pooled_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    freelist.push_back(ptr);
+    freelist.items.push_back(ptr);
   }
 
+  // Frees the cached storage; the working-set marks stay.
   void FreeAll() {
-    for (auto& bucket : float_buckets_) {
-      for (std::vector<float>& buffer : bucket) {
+    for (FreeList<std::vector<float>>& bucket : float_buckets_) {
+      for (std::vector<float>& buffer : bucket.items) {
         RecordRemoval(buffer.capacity() * sizeof(float));
       }
-      bucket.clear();
+      bucket.items.clear();
     }
     for (auto& [bytes, freelist] : byte_freelists_) {
-      for (void* block : freelist) {
+      for (void* block : freelist.items) {
         pooled_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
         ::operator delete(block);  // imr-lint: allow(no-naked-new)
       }
-      freelist.clear();
+      freelist.items.clear();
     }
   }
 
@@ -209,8 +232,8 @@ class BufferPool {
 
   // Freelists are owner-thread-only; counters are cross-thread-readable.
   // float_buckets_[k] caches buffers with capacity in [2^k, 2^(k+1)).
-  std::vector<std::vector<std::vector<float>>> float_buckets_{kNumBuckets};
-  std::unordered_map<size_t, std::vector<void*>> byte_freelists_;
+  std::vector<FreeList<std::vector<float>>> float_buckets_{kNumBuckets};
+  std::unordered_map<size_t, FreeList<void*>> byte_freelists_;
   std::atomic<uint64_t> buffer_hits_{0};
   std::atomic<uint64_t> buffer_misses_{0};
   std::atomic<uint64_t> node_hits_{0};

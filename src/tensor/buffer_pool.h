@@ -14,12 +14,20 @@
 //     std::allocate_shared.
 //
 // Thread model: each thread owns a private pool (thread_local), so Acquire /
-// Release never contend. Buffers may migrate between threads — a buffer
-// acquired on thread A and released on thread B simply joins B's pool; all
-// storage is plain operator new/delete so provenance never matters. Counters
-// are relaxed atomics so PoolStats() may aggregate them from any thread
-// (including concurrently with pool traffic); a pool retiring at thread exit
-// folds its counters into a global accumulator first.
+// Release never contend. A pool is bounded by its own thread's working set:
+// it caches at most as many buffers of a size class (node blocks of a size)
+// as that thread has had out at once, so a thread that repeats a step is
+// served entirely from its cache, and a pool past 256 MiB frees instead.
+// Buffers may migrate between threads — a buffer acquired on thread A and
+// released on thread B joins B's pool only while B holds fewer of that
+// class than B's own high-water mark, and is freed otherwise; a thread that
+// only ever releases a class (B merging buffers A allocated, or a model
+// replaced by a snapshot reload releasing storage the pool never handed
+// out) frees all of it. All storage is plain operator new/delete, so
+// provenance never matters. Counters are relaxed atomics so PoolStats() may
+// aggregate them from any thread (including concurrently with pool
+// traffic); a pool retiring at thread exit folds its counters into a global
+// accumulator first.
 //
 // Determinism contract: the pool changes WHERE bytes come from, never what is
 // computed. Acquired buffers have unspecified contents (kernels either fully
@@ -87,9 +95,10 @@ std::vector<float> AcquireBuffer(size_t n);
 /// Returns a buffer with size() == n, every element == fill.
 std::vector<float> AcquireBufferFill(size_t n, float fill);
 
-/// Returns a buffer's storage to the current thread's pool (or frees it when
-/// the pool is disabled, full, or already destroyed). Accepting by value
-/// keeps call sites simple: ReleaseBuffer(std::move(v)).
+/// Returns a buffer's storage to the current thread's pool, or frees it when
+/// the pool is disabled or already destroyed, already holds as many of its
+/// size class as this thread has had out at once, or is past 256 MiB.
+/// Accepting by value keeps call sites simple: ReleaseBuffer(std::move(v)).
 void ReleaseBuffer(std::vector<float>&& buffer);
 
 /// Raw byte-block recycling for TensorImpl nodes (exact-size freelists).
@@ -97,7 +106,8 @@ void* AcquireBytes(size_t bytes);
 void ReleaseBytes(void* ptr, size_t bytes);
 
 /// Frees every cached buffer and node block owned by the current thread's
-/// pool. Gauges drop accordingly; hit/miss counters are preserved.
+/// pool. Gauges drop accordingly; hit/miss counters and the thread's
+/// working-set marks are preserved.
 void TrimThreadPool();
 
 /// Stateless STL allocator over the byte pool; std::allocate_shared with

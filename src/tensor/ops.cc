@@ -42,12 +42,14 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 // count, so results are identical at any --imr_threads — and identical to
 // the original scalar kernels (zero operands are skipped exactly as before).
 //
-// Forward inner loops dispatch through tensor/simd: simd::Active() resolves
-// to the scalar reference while autograd records (unless vectorized
-// training was opted in) and to the fastest ISA under NoGradGuard. Vector
-// backends keep per-shape determinism but may reassociate reductions; see
-// tensor/simd/dispatch.h for the contract. Backward kernels stay scalar —
-// they run only in training, where scalar is the gate reference anyway.
+// Inner loops dispatch through tensor/simd: simd::Active() resolves to
+// TrainKernels() while autograd records — the backend's [exact] entries
+// with the scalar [approximate] ones, unless vectorized training was opted
+// in — and to the fastest ISA under NoGradGuard. [exact] entries (the
+// elementwise ops, axpy and the sentence conv, forward and backward) give
+// the scalar bits on every backend; [approximate] ones keep per-shape
+// determinism but may reassociate reductions. See tensor/simd/dispatch.h
+// for the contract. The MatMul backward kernels below are plain loops.
 
 // Work below this many multiply-adds is not worth a pool dispatch.
 constexpr int64_t kMatMulParallelFlops = 1 << 14;
@@ -58,6 +60,35 @@ constexpr int kMatMulMinRowsForPack = 8;
 // boundaries independent of the worker count.
 inline int64_t RowGrain(int64_t per_row_work) {
   return std::max<int64_t>(1, kMatMulParallelFlops / std::max<int64_t>(1, per_row_work));
+}
+
+// Conv1dSame's pool threshold, in multiply-adds, derived from the
+// vectorized per-row cost. On a shared 4-vCPU x86-64 VM a ParallelFor
+// region of 2-4 chunks cost 3-10 us of wall time beyond its work (submit,
+// condvar wake-up, join), and the AVX2 conv ran 7-12 multiply-adds per ns.
+// A pass therefore enters the pool only from 2^20 multiply-adds (~90-150
+// us), in chunks of at least 2^18 (~22-35 us each, several handoffs'
+// worth). A benchmark-dims sentence (17 tokens x 32 filters x 66 inputs,
+// ~36k) always runs inline; so does a Table III sentence up to 25 tokens
+// (230 filters x 180 inputs, ~41k per row).
+constexpr int64_t kConvParallelMacs = int64_t{1} << 20;
+
+inline int64_t ConvGrain(int64_t per_row_macs) {
+  return std::max<int64_t>(
+      1, (kConvParallelMacs / 4) / std::max<int64_t>(1, per_row_macs));
+}
+
+// Conv1dSame backward's compacted nonzero output-gradient entries:
+// filter[row_begin[t] .. row_begin[t+1]) are row t's, ascending. Kept per
+// thread and reused, so a steady-state backward does not allocate.
+struct ConvGradRows {
+  std::vector<int> row_begin;
+  std::vector<int> filter;
+};
+
+ConvGradRows& ThreadConvGradRows() {
+  thread_local ConvGradRows rows;
+  return rows;
 }
 
 // Packs row-major src [rows x cols] into dst as its transpose [cols x rows].
@@ -980,127 +1011,139 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
   const int time = x.shape()[0];
   const int dim = x.shape()[1];
   const int filters = weight.shape()[0];
-  IMR_CHECK_EQ(weight.shape()[1], window * dim);
+  const int inner = window * dim;
+  IMR_CHECK_EQ(weight.shape()[1], inner);
   IMR_CHECK_EQ(static_cast<int>(bias.size()), filters);
   const int half = window / 2;
 
+  // The conv entries are [exact], so training and eval compute the same
+  // floats on every backend; only the speed follows the table.
+  const simd::Kernels& kernels = simd::Active();
   std::vector<float> out =
       AcquireBuffer(static_cast<size_t>(time) * filters);
   const float* xv = x.data().data();
   const float* wv = weight.data().data();
   const float* bv = bias.data().data();
+  PooledFloats packed(AcquireBuffer(static_cast<size_t>(filters) * inner));
+  kernels.conv1d_pack(wv, filters, inner, packed.data());
+  const float* pv = packed.data();
   // Each output row t is produced wholly by the chunk that owns t, with the
   // same per-row arithmetic as the scalar kernel, so the result is
   // bit-identical at any thread count.
-  const int64_t conv_work =
-      static_cast<int64_t>(time) * filters * window * dim;
   auto forward_rows = [&](int64_t t_lo, int64_t t_hi) {
-    for (int64_t t = t_lo; t < t_hi; ++t) {
-      float* orow = out.data() + static_cast<size_t>(t) * filters;
-      for (int f = 0; f < filters; ++f) orow[f] = bv[f];
-      for (int w = 0; w < window; ++w) {
-        const int src = static_cast<int>(t) + w - half;
-        if (src < 0 || src >= time) continue;  // zero padding
-        const float* xrow = xv + static_cast<size_t>(src) * dim;
-        // weight layout: [f][w*dim + d]
-        for (int f = 0; f < filters; ++f) {
-          const float* wrow = wv + static_cast<size_t>(f) * window * dim +
-                              static_cast<size_t>(w) * dim;
-          float acc = 0.0f;
-          for (int d = 0; d < dim; ++d) acc += xrow[d] * wrow[d];
-          orow[f] += acc;
-        }
-      }
-    }
+    kernels.conv1d_rows(xv, wv, pv, bv, out.data(), time, dim, filters,
+                        window, t_lo, t_hi);
   };
-  if (conv_work >= kMatMulParallelFlops && time >= 2) {
-    util::GlobalPool().ParallelFor(
-        0, time,
-        RowGrain(static_cast<int64_t>(filters) * window * dim),
-        forward_rows);
+  const int64_t row_macs = static_cast<int64_t>(filters) * inner;
+  if (time >= 2 && row_macs * time >= kConvParallelMacs) {
+    util::GlobalPool().ParallelFor(0, time, ConvGrain(row_macs),
+                                   forward_rows);
   } else {
     forward_rows(0, time);
   }
   return MakeResult(
       {time, filters}, std::move(out), {x, weight, bias},
-      [x, weight, bias, window, time, dim, filters, half](TensorImpl& self) {
-        // Backward runs as three owner-computes passes (bias and weight
-        // sharded over filters, input sharded over source rows). Each pass
-        // reproduces the scalar kernel's per-element accumulation sequence
-        // — t ascends for every (f), (f,w,d) and (src,d) destination — so
-        // gradients are bit-identical at any thread count.
+      [x, weight, bias, window, time, dim, filters, inner,
+       half](TensorImpl& self) {
+        const simd::Kernels& kernels = simd::Active();
         const float* gout = self.grad.data();
         const float* xv = x.data().data();
         const float* wv = weight.data().data();
-        const int64_t conv_work =
-            static_cast<int64_t>(time) * filters * window * dim;
-        const bool parallel = conv_work >= kMatMulParallelFlops;
+        // After the piecewise max pool at most three rows per filter carry
+        // gradient, so nearly every (t, f) entry of gout is zero. Compact
+        // the nonzero ones once, row by row with f ascending; the test is
+        // the scalar kernel's (`g == 0.0f` skips -0.0f and keeps NaN).
+        ConvGradRows& nz = ThreadConvGradRows();
+        nz.row_begin.resize(static_cast<size_t>(time) + 1);
+        nz.filter.resize(static_cast<size_t>(time) * filters);
+        int count = 0;
+        for (int t = 0; t < time; ++t) {
+          nz.row_begin[static_cast<size_t>(t)] = count;
+          const float* grow = gout + static_cast<size_t>(t) * filters;
+          for (int f = 0; f < filters; ++f) {
+            if (grow[f] != 0.0f) nz.filter[static_cast<size_t>(count++)] = f;
+          }
+        }
+        nz.row_begin[static_cast<size_t>(time)] = count;
+        const int* row_begin = nz.row_begin.data();
+        const int* nz_filter = nz.filter.data();
+        // Backward runs as owner-computes passes (weight sharded over
+        // filters, input over source rows). Each reproduces the scalar
+        // kernel's per-element accumulation sequence — t ascends, then f,
+        // for every (f), (f,w,d) and (src,d) destination — so gradients
+        // are bit-identical at any thread count and on every backend
+        // (axpy is [exact]).
+        const int64_t backward_macs = static_cast<int64_t>(count) * inner;
+        const bool parallel = backward_macs >= kConvParallelMacs;
         if (WantsGrad(bias)) {
-          auto* gb = GradOf(bias);
-          float* gbv = gb->data();
+          // Skipping the zeros is exact: a gradient buffer starts at +0.0f
+          // and a sum that starts at +0.0f is never -0.0f, so adding a
+          // zero would leave it unchanged.
+          float* gbv = GradOf(bias)->data();
           for (int t = 0; t < time; ++t) {
             const float* grow = gout + static_cast<size_t>(t) * filters;
-            for (int f = 0; f < filters; ++f) gbv[f] += grow[f];
+            for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
+              gbv[nz_filter[k]] += grow[nz_filter[k]];
+            }
           }
         }
         if (WantsGrad(weight)) {
-          auto* gw = GradOf(weight);
-          float* gwv = gw->data();
+          float* gwv = GradOf(weight)->data();
+          // For one (t, f) the in-range window positions [w_lo, w_hi) read
+          // consecutive source rows and write consecutive (w, d) entries of
+          // gw's row f, so the whole window is one axpy.
           auto gw_filters = [&](int64_t f_lo, int64_t f_hi) {
             for (int t = 0; t < time; ++t) {
+              const int w_lo = std::max(0, half - t);
+              const int w_hi = std::min(window, time - t + half);
               const float* grow = gout + static_cast<size_t>(t) * filters;
-              for (int w = 0; w < window; ++w) {
-                const int src = t + w - half;
-                if (src < 0 || src >= time) continue;
-                const float* xrow = xv + static_cast<size_t>(src) * dim;
-                for (int64_t f = f_lo; f < f_hi; ++f) {
-                  const float g = grow[f];
-                  if (g == 0.0f) continue;
-                  float* gwrow = gwv + static_cast<size_t>(f) * window * dim +
-                                 static_cast<size_t>(w) * dim;
-                  for (int d = 0; d < dim; ++d) gwrow[d] += g * xrow[d];
-                }
+              const float* xsrc =
+                  xv + static_cast<size_t>(t + w_lo - half) * dim;
+              for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
+                const int f = nz_filter[k];
+                if (f < f_lo || f >= f_hi) continue;
+                kernels.axpy(grow[f], xsrc,
+                             gwv + static_cast<size_t>(f) * inner +
+                                 static_cast<size_t>(w_lo) * dim,
+                             static_cast<size_t>(w_hi - w_lo) * dim);
               }
             }
           };
           if (parallel && filters >= 2) {
             util::GlobalPool().ParallelFor(
-                0, filters,
-                RowGrain(static_cast<int64_t>(time) * window * dim),
-                gw_filters);
+                0, filters, ConvGrain(backward_macs / filters), gw_filters);
           } else {
             gw_filters(0, filters);
           }
         }
         if (WantsGrad(x)) {
-          auto* gx = GradOf(x);
-          float* gxv = gx->data();
-          // For a fixed src row, contributions arrive from (t, w) pairs
-          // with t = src - w + half; walking w DOWN walks t UP, matching
-          // the scalar kernel's t-ascending order into gx[src, d].
+          float* gxv = GradOf(x)->data();
+          // Source rows [src_lo, src_hi) take terms from t in
+          // [src_lo - half, src_hi + half) through window positions
+          // w = src - t + half; walking t up (then f) reproduces the scalar
+          // kernel's t-ascending order into every gx[src, d], and the
+          // in-range positions again form one contiguous axpy.
           auto gx_rows = [&](int64_t src_lo, int64_t src_hi) {
-            for (int64_t src = src_lo; src < src_hi; ++src) {
-              float* gxrow = gxv + static_cast<size_t>(src) * dim;
-              for (int w = window - 1; w >= 0; --w) {
-                const int t = static_cast<int>(src) - w + half;
-                if (t < 0 || t >= time) continue;
-                const float* grow = gout + static_cast<size_t>(t) * filters;
-                for (int f = 0; f < filters; ++f) {
-                  const float g = grow[f];
-                  if (g == 0.0f) continue;
-                  const float* wrow = wv +
-                                      static_cast<size_t>(f) * window * dim +
-                                      static_cast<size_t>(w) * dim;
-                  for (int d = 0; d < dim; ++d) gxrow[d] += g * wrow[d];
-                }
+            const int lo = static_cast<int>(src_lo);
+            const int hi = static_cast<int>(src_hi);
+            for (int t = std::max(0, lo - half);
+                 t < std::min(time, hi + half); ++t) {
+              const int w_lo = std::max(0, lo - t + half);
+              const int w_hi = std::min(window, hi - t + half);
+              const float* grow = gout + static_cast<size_t>(t) * filters;
+              float* gxdst = gxv + static_cast<size_t>(t + w_lo - half) * dim;
+              for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
+                const int f = nz_filter[k];
+                kernels.axpy(grow[f],
+                             wv + static_cast<size_t>(f) * inner +
+                                 static_cast<size_t>(w_lo) * dim,
+                             gxdst, static_cast<size_t>(w_hi - w_lo) * dim);
               }
             }
           };
           if (parallel && time >= 2) {
             util::GlobalPool().ParallelFor(
-                0, time,
-                RowGrain(static_cast<int64_t>(filters) * window * dim),
-                gx_rows);
+                0, time, ConvGrain(backward_macs / time), gx_rows);
           } else {
             gx_rows(0, time);
           }

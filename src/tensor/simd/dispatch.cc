@@ -3,19 +3,11 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "tensor/simd/kernels_internal.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
 
 namespace imr::tensor::simd {
-
-// Defined in the per-ISA translation units. Each returns nullptr when the
-// ISA is not compiled into this build; entries inside a returned table may
-// be null and inherit the scalar reference via MergeOverScalar.
-const Kernels* ScalarKernels();
-const Kernels* Sse2Kernels();
-const Kernels* Avx2Kernels();
-const Kernels* NeonKernels();
-
 namespace {
 
 // Dispatch state. Written at startup (env), by flag parsing, or by scoped
@@ -76,56 +68,85 @@ bool ParseBackendName(const std::string& name, Backend* backend,
   return true;
 }
 
-const Kernels* RawTable(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return ScalarKernels();
-    case Backend::kSse2:
-      return Sse2Kernels();
-    case Backend::kAvx2:
-      return Avx2Kernels();
-    case Backend::kNeon:
-      return NeonKernels();
-  }
-  return nullptr;
+// Copies the non-null entries of `overlay` over `base`.
+void Overlay(const Kernels& overlay, Kernels* base) {
+  auto take = [](auto from, auto* to) {
+    if (from != nullptr) *to = from;
+  };
+  take(overlay.add, &base->add);
+  take(overlay.sub, &base->sub);
+  take(overlay.mul, &base->mul);
+  take(overlay.scale, &base->scale);
+  take(overlay.axpy, &base->axpy);
+  take(overlay.conv1d_pack, &base->conv1d_pack);
+  take(overlay.conv1d_rows, &base->conv1d_rows);
+  take(overlay.gemm_s8s32, &base->gemm_s8s32);
+  take(overlay.tanh, &base->tanh);
+  take(overlay.affine_tanh_finish, &base->affine_tanh_finish);
+  take(overlay.matmul_panel_dot, &base->matmul_panel_dot);
+  take(overlay.matmul_ikj, &base->matmul_ikj);
+  take(overlay.softmax_rows, &base->softmax_rows);
+  take(overlay.log_softmax_rows, &base->log_softmax_rows);
+  take(overlay.ann_dot_many, &base->ann_dot_many);
+  take(overlay.ann_l2sqr_many, &base->ann_l2sqr_many);
+  take(overlay.ann_cosine_many, &base->ann_cosine_many);
+  take(overlay.ann_dot_batch, &base->ann_dot_batch);
 }
 
-Kernels MergeOverScalar(Backend backend, const Kernels& overlay) {
-  Kernels merged = *ScalarKernels();
-  merged.backend = backend;
-  if (overlay.add) merged.add = overlay.add;
-  if (overlay.sub) merged.sub = overlay.sub;
-  if (overlay.mul) merged.mul = overlay.mul;
-  if (overlay.scale) merged.scale = overlay.scale;
-  if (overlay.tanh) merged.tanh = overlay.tanh;
-  if (overlay.affine_tanh_finish)
-    merged.affine_tanh_finish = overlay.affine_tanh_finish;
-  if (overlay.matmul_panel_dot)
-    merged.matmul_panel_dot = overlay.matmul_panel_dot;
-  if (overlay.matmul_ikj) merged.matmul_ikj = overlay.matmul_ikj;
-  if (overlay.softmax_rows) merged.softmax_rows = overlay.softmax_rows;
-  if (overlay.log_softmax_rows)
-    merged.log_softmax_rows = overlay.log_softmax_rows;
-  if (overlay.gemm_s8s32) merged.gemm_s8s32 = overlay.gemm_s8s32;
-  if (overlay.ann_dot_many) merged.ann_dot_many = overlay.ann_dot_many;
-  if (overlay.ann_l2sqr_many) merged.ann_l2sqr_many = overlay.ann_l2sqr_many;
-  if (overlay.ann_cosine_many)
-    merged.ann_cosine_many = overlay.ann_cosine_many;
-  if (overlay.ann_dot_batch) merged.ann_dot_batch = overlay.ann_dot_batch;
-  return merged;
+// The [exact] entries of `table` (see dispatch.h) over the scalar
+// reference: what training runs by default.
+Kernels ExactOverScalar(const Kernels& table) {
+  Kernels exact = *ScalarKernels();
+  exact.backend = table.backend;
+  exact.add = table.add;
+  exact.sub = table.sub;
+  exact.mul = table.mul;
+  exact.scale = table.scale;
+  exact.axpy = table.axpy;
+  exact.conv1d_pack = table.conv1d_pack;
+  exact.conv1d_rows = table.conv1d_rows;
+  exact.gemm_s8s32 = table.gemm_s8s32;
+  return exact;
+}
+
+// The full table of `backend` over the scalar reference; false when the
+// ISA is not compiled into this build.
+bool BuildTable(Backend backend, Kernels* table) {
+  *table = *ScalarKernels();
+  table->backend = backend;
+  switch (backend) {
+    case Backend::kScalar:
+      return true;
+    case Backend::kSse2:
+      if (Sse2Kernels() == nullptr) return false;
+      Overlay(*Sse2Kernels(), table);
+      return true;
+    case Backend::kAvx2:
+      if (Avx2ExactKernels() == nullptr || Avx2Kernels() == nullptr) {
+        return false;
+      }
+      Overlay(*Avx2ExactKernels(), table);
+      Overlay(*Avx2Kernels(), table);
+      return true;
+    case Backend::kNeon:
+      if (NeonKernels() == nullptr) return false;
+      Overlay(*NeonKernels(), table);
+      return true;
+  }
+  return false;
 }
 
 struct Registry {
   Kernels tables[kBackendCount];
+  Kernels train_tables[kBackendCount];  // ExactOverScalar(tables[i])
   bool supported[kBackendCount] = {false, false, false, false};
   Backend best = Backend::kScalar;
 
   Registry() {
     for (int i = 0; i < kBackendCount; ++i) {
       const Backend backend = static_cast<Backend>(i);
-      const Kernels* raw = RawTable(backend);
-      if (raw == nullptr || !CpuSupports(backend)) continue;
-      tables[i] = MergeOverScalar(backend, *raw);
+      if (!CpuSupports(backend) || !BuildTable(backend, &tables[i])) continue;
+      train_tables[i] = ExactOverScalar(tables[i]);
       supported[i] = true;
       // Preference order matches the enum: scalar < sse2 < avx2; NEON only
       // exists where the x86 tiers do not, so "highest supported" is right
@@ -222,7 +243,9 @@ const Kernels& EvalKernels() { return KernelsFor(ActiveEvalBackend()); }
 const Kernels& TrainKernels() {
   if (g_vectorized_training.load(std::memory_order_relaxed))
     return EvalKernels();
-  return KernelsFor(Backend::kScalar);
+  const Backend backend = ActiveEvalBackend();
+  IMR_CHECK(BackendSupported(backend));
+  return GetRegistry().train_tables[static_cast<int>(backend)];
 }
 
 const Kernels& Active() {

@@ -1,7 +1,9 @@
 // AVX2+FMA kernels. This translation unit is compiled with -mavx2 -mfma
 // (see src/CMakeLists.txt); nothing outside src/tensor/simd/ may touch
 // intrinsics (imr_lint raw-intrinsics rule), and this table is only
-// reachable after __builtin_cpu_supports("avx2") at dispatch init.
+// reachable after __builtin_cpu_supports("avx2") at dispatch init. The
+// [exact] elementwise, axpy and conv kernels are in kernels_avx2_exact.cc,
+// which is built without -mfma; this table leaves those entries null.
 //
 // Numerics: tanh/exp evaluate the shared polynomials from vec_math.h with
 // FMA; loop tails use the scalar polynomial evaluators so every element of
@@ -10,6 +12,7 @@
 // deterministic for a fixed shape). The int8 GEMM is pure integer
 // arithmetic and bit-identical to the scalar reference.
 #include "tensor/simd/dispatch.h"
+#include "tensor/simd/kernels_internal.h"
 #include "tensor/simd/vec_math.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -81,42 +84,6 @@ inline int32_t HsumEpi32i(__m256i v) {
   s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x55));
   return _mm_cvtsi128_si32(s);
-}
-
-void AddAvx2(const float* a, const float* b, float* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void SubAvx2(const float* a, const float* b, float* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
-void MulAvx2(const float* a, const float* b, float* out, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void ScaleAvx2(const float* a, float s, float* out, size_t n) {
-  const __m256 sv = _mm256_set1_ps(s);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), sv));
-  }
-  for (; i < n; ++i) out[i] = a[i] * s;
 }
 
 void TanhAvx2(const float* x, float* out, size_t n) {
@@ -413,22 +380,18 @@ void AnnDotBatchAvx2(const float* queries, size_t num_queries,
 }
 
 const Kernels kAvx2Table = {
-    Backend::kAvx2,
-    AddAvx2,
-    SubAvx2,
-    MulAvx2,
-    ScaleAvx2,
-    TanhAvx2,
-    AffineTanhFinishAvx2,
-    MatMulPanelDotAvx2,
-    MatMulIkjAvx2,
-    SoftmaxRowsAvx2,
-    LogSoftmaxRowsAvx2,
-    GemmS8S32Avx2,
-    AnnDotManyAvx2,
-    AnnL2SqrManyAvx2,
-    AnnCosineManyAvx2,
-    AnnDotBatchAvx2,
+    .backend = Backend::kAvx2,
+    .gemm_s8s32 = GemmS8S32Avx2,
+    .tanh = TanhAvx2,
+    .affine_tanh_finish = AffineTanhFinishAvx2,
+    .matmul_panel_dot = MatMulPanelDotAvx2,
+    .matmul_ikj = MatMulIkjAvx2,
+    .softmax_rows = SoftmaxRowsAvx2,
+    .log_softmax_rows = LogSoftmaxRowsAvx2,
+    .ann_dot_many = AnnDotManyAvx2,
+    .ann_l2sqr_many = AnnL2SqrManyAvx2,
+    .ann_cosine_many = AnnCosineManyAvx2,
+    .ann_dot_batch = AnnDotBatchAvx2,
 };
 
 }  // namespace

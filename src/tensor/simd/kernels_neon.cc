@@ -4,6 +4,7 @@
 // exactly like the x86 tiers, so filling in tanh / matmul later is purely
 // additive. On non-ARM builds this TU compiles to a null registration.
 #include "tensor/simd/dispatch.h"
+#include "tensor/simd/kernels_internal.h"
 
 #if defined(__ARM_NEON) && defined(__aarch64__)
 
@@ -45,23 +46,13 @@ void ScaleNeon(const float* a, float s, float* out, size_t n) {
   for (; i < n; ++i) out[i] = a[i] * s;
 }
 
+// Entries left out inherit the scalar reference.
 const Kernels kNeonTable = {
-    Backend::kNeon,
-    AddNeon,
-    SubNeon,
-    MulNeon,
-    ScaleNeon,
-    nullptr,  // tanh -> scalar reference
-    nullptr,  // affine_tanh_finish
-    nullptr,  // matmul_panel_dot
-    nullptr,  // matmul_ikj
-    nullptr,  // softmax_rows
-    nullptr,  // log_softmax_rows
-    nullptr,  // gemm_s8s32
-    nullptr,  // ann_dot_many -> scalar reference
-    nullptr,  // ann_l2sqr_many
-    nullptr,  // ann_cosine_many
-    nullptr,  // ann_dot_batch
+    .backend = Backend::kNeon,
+    .add = AddNeon,
+    .sub = SubNeon,
+    .mul = MulNeon,
+    .scale = ScaleNeon,
 };
 
 }  // namespace

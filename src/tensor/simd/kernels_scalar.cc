@@ -1,12 +1,14 @@
 // Scalar reference kernels: the exact loops ops.cc ran before the SIMD
 // backend existed. These are the bit-identity baseline — training gates
 // compare against them, so DO NOT "optimize" this file. Any change here
-// changes training results.
+// changes training results. Built with -ffp-contract=off (see
+// src/CMakeLists.txt), so no multiply and add is ever fused into an FMA.
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "tensor/simd/dispatch.h"
+#include "tensor/simd/kernels_internal.h"
 
 namespace imr::tensor::simd {
 namespace {
@@ -30,6 +32,37 @@ void MulScalarKernel(const float* a, const float* b, float* out, size_t n) {
 
 void ScaleScalarKernel(const float* a, float s, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = a[i] * s;
+}
+
+void AxpyScalar(float a, const float* x, float* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+// The scalar conv reads `weight` in its own layout; nothing to pack.
+void Conv1dPackScalar(const float*, int, int, float*) {}
+
+// The loop tensor::Conv1dSame ran before the conv joined the table.
+void Conv1dRowsScalar(const float* x, const float* weight, const float*,
+                      const float* bias, float* out, int time, int dim,
+                      int filters, int window, int64_t t_lo, int64_t t_hi) {
+  const int half = window / 2;
+  for (int64_t t = t_lo; t < t_hi; ++t) {
+    float* orow = out + static_cast<size_t>(t) * filters;
+    for (int f = 0; f < filters; ++f) orow[f] = bias[f];
+    for (int w = 0; w < window; ++w) {
+      const int src = static_cast<int>(t) + w - half;
+      if (src < 0 || src >= time) continue;  // zero padding
+      const float* xrow = x + static_cast<size_t>(src) * dim;
+      // weight layout: [f][w*dim + d]
+      for (int f = 0; f < filters; ++f) {
+        const float* wrow = weight + static_cast<size_t>(f) * window * dim +
+                            static_cast<size_t>(w) * dim;
+        float acc = 0.0f;
+        for (int d = 0; d < dim; ++d) acc += xrow[d] * wrow[d];
+        orow[f] += acc;
+      }
+    }
+  }
 }
 
 void TanhScalarKernel(const float* x, float* out, size_t n) {
@@ -174,22 +207,25 @@ void AnnDotBatchScalar(const float* queries, size_t num_queries,
 }
 
 const Kernels kScalarTable = {
-    Backend::kScalar,
-    AddScalarKernel,
-    SubScalarKernel,
-    MulScalarKernel,
-    ScaleScalarKernel,
-    TanhScalarKernel,
-    AffineTanhFinishScalar,
-    MatMulPanelDotScalar,
-    MatMulIkjScalar,
-    SoftmaxRowsScalar,
-    LogSoftmaxRowsScalar,
-    GemmS8S32Scalar,
-    AnnDotManyScalar,
-    AnnL2SqrManyScalar,
-    AnnCosineManyScalar,
-    AnnDotBatchScalar,
+    .backend = Backend::kScalar,
+    .add = AddScalarKernel,
+    .sub = SubScalarKernel,
+    .mul = MulScalarKernel,
+    .scale = ScaleScalarKernel,
+    .axpy = AxpyScalar,
+    .conv1d_pack = Conv1dPackScalar,
+    .conv1d_rows = Conv1dRowsScalar,
+    .gemm_s8s32 = GemmS8S32Scalar,
+    .tanh = TanhScalarKernel,
+    .affine_tanh_finish = AffineTanhFinishScalar,
+    .matmul_panel_dot = MatMulPanelDotScalar,
+    .matmul_ikj = MatMulIkjScalar,
+    .softmax_rows = SoftmaxRowsScalar,
+    .log_softmax_rows = LogSoftmaxRowsScalar,
+    .ann_dot_many = AnnDotManyScalar,
+    .ann_l2sqr_many = AnnL2SqrManyScalar,
+    .ann_cosine_many = AnnCosineManyScalar,
+    .ann_dot_batch = AnnDotBatchScalar,
 };
 
 }  // namespace

@@ -1,9 +1,13 @@
 // SSE2 kernels (4-lane, no FMA — baseline ISA on x86-64, so this TU needs
-// no special compile flags there). Evaluates the same vec_math.h
-// polynomials as AVX2 with mul+add instead of fused multiply-add; the
-// documented error bounds in vec_math.h cover both evaluation schemes.
-// Intrinsics are confined to src/tensor/simd/ (imr_lint raw-intrinsics).
+// no ISA flags there). Evaluates the same vec_math.h polynomials as AVX2
+// with mul+add instead of fused multiply-add; the documented error bounds
+// in vec_math.h cover both evaluation schemes. The [exact] kernels
+// (elementwise, axpy, conv) repeat the scalar per-element sequence lane by
+// lane; the TU is built with -ffp-contract=off so that stays true under
+// any global ISA flags. Intrinsics are confined to src/tensor/simd/
+// (imr_lint raw-intrinsics).
 #include "tensor/simd/dispatch.h"
+#include "tensor/simd/kernels_internal.h"
 #include "tensor/simd/vec_math.h"
 
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(__ARM_NEON))
@@ -113,6 +117,86 @@ void ScaleSse2(const float* a, float s, float* out, size_t n) {
     _mm_storeu_ps(out + i, _mm_mul_ps(_mm_loadu_ps(a + i), sv));
   }
   for (; i < n; ++i) out[i] = a[i] * s;
+}
+
+void AxpySse2(float a, const float* x, float* y, size_t n) {
+  const __m128 av = _mm_set1_ps(a);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm_storeu_ps(y + i, _mm_add_ps(_mm_loadu_ps(y + i),
+                                    _mm_mul_ps(av, _mm_loadu_ps(x + i))));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
+// conv1d_pack: weight [filters x inner] to [inner x filters]. Eight
+// weight rows stream side by side, so each packed row is written in runs
+// of eight consecutive filters. Pure copies.
+void Conv1dPackSse2(const float* weight, int filters, int inner,
+                    float* packed) {
+  constexpr int kBlock = 8;
+  for (int f0 = 0; f0 < filters; f0 += kBlock) {
+    const int f_end = std::min(filters, f0 + kBlock);
+    for (int k = 0; k < inner; ++k) {
+      float* prow = packed + static_cast<size_t>(k) * filters;
+      for (int f = f0; f < f_end; ++f) {
+        prow[f] = weight[static_cast<size_t>(f) * inner + k];
+      }
+    }
+  }
+}
+
+// Filters [f, f + 4) of output row t. Each lane runs the scalar per-filter
+// sequence: start from the bias, then per in-range window position add an
+// accumulator summed over d ascending from 0 with a separate multiply and
+// add.
+inline void ConvFilterBlockSse2(const float* x, const float* packed,
+                                const float* bias, float* orow, int64_t t,
+                                int time, int dim, int filters, int window,
+                                int f) {
+  const int half = window / 2;
+  __m128 o = _mm_loadu_ps(bias + f);
+  for (int w = 0; w < window; ++w) {
+    const int64_t src = t + w - half;
+    if (src < 0 || src >= time) continue;  // zero padding
+    const float* xrow = x + static_cast<size_t>(src) * dim;
+    const float* wp = packed + static_cast<size_t>(w) * dim * filters + f;
+    __m128 acc = _mm_setzero_ps();
+    for (int d = 0; d < dim; ++d) {
+      const __m128 wv = _mm_loadu_ps(wp + static_cast<size_t>(d) * filters);
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(xrow[d]), wv));
+    }
+    o = _mm_add_ps(o, acc);
+  }
+  _mm_storeu_ps(orow + f, o);
+}
+
+void Conv1dRowsSse2(const float* x, const float* weight, const float* packed,
+                    const float* bias, float* out, int time, int dim,
+                    int filters, int window, int64_t t_lo, int64_t t_hi) {
+  const int half = window / 2;
+  for (int64_t t = t_lo; t < t_hi; ++t) {
+    float* orow = out + static_cast<size_t>(t) * filters;
+    int f = 0;
+    for (; f + 4 <= filters; f += 4) {
+      ConvFilterBlockSse2(x, packed, bias, orow, t, time, dim, filters,
+                          window, f);
+    }
+    for (; f < filters; ++f) {  // the scalar sequence, filter by filter
+      float o = bias[f];
+      for (int w = 0; w < window; ++w) {
+        const int64_t src = t + w - half;
+        if (src < 0 || src >= time) continue;
+        const float* xrow = x + static_cast<size_t>(src) * dim;
+        const float* wrow = weight + static_cast<size_t>(f) * window * dim +
+                            static_cast<size_t>(w) * dim;
+        float acc = 0.0f;
+        for (int d = 0; d < dim; ++d) acc += xrow[d] * wrow[d];
+        o += acc;
+      }
+      orow[f] = o;
+    }
+  }
 }
 
 void TanhSse2(const float* x, float* out, size_t n) {
@@ -382,22 +466,25 @@ void AnnDotBatchSse2(const float* queries, size_t num_queries,
 }
 
 const Kernels kSse2Table = {
-    Backend::kSse2,
-    AddSse2,
-    SubSse2,
-    MulSse2,
-    ScaleSse2,
-    TanhSse2,
-    AffineTanhFinishSse2,
-    MatMulPanelDotSse2,
-    MatMulIkjSse2,
-    SoftmaxRowsSse2,
-    LogSoftmaxRowsSse2,
-    GemmS8S32Sse2,
-    AnnDotManySse2,
-    AnnL2SqrManySse2,
-    AnnCosineManySse2,
-    AnnDotBatchSse2,
+    .backend = Backend::kSse2,
+    .add = AddSse2,
+    .sub = SubSse2,
+    .mul = MulSse2,
+    .scale = ScaleSse2,
+    .axpy = AxpySse2,
+    .conv1d_pack = Conv1dPackSse2,
+    .conv1d_rows = Conv1dRowsSse2,
+    .gemm_s8s32 = GemmS8S32Sse2,
+    .tanh = TanhSse2,
+    .affine_tanh_finish = AffineTanhFinishSse2,
+    .matmul_panel_dot = MatMulPanelDotSse2,
+    .matmul_ikj = MatMulIkjSse2,
+    .softmax_rows = SoftmaxRowsSse2,
+    .log_softmax_rows = LogSoftmaxRowsSse2,
+    .ann_dot_many = AnnDotManySse2,
+    .ann_l2sqr_many = AnnL2SqrManySse2,
+    .ann_cosine_many = AnnCosineManySse2,
+    .ann_dot_batch = AnnDotBatchSse2,
 };
 
 }  // namespace

@@ -317,12 +317,7 @@ ScopedGradSink::ScopedGradSink() : previous_(g_active_sink) {
   g_active_sink = this;
 }
 
-ScopedGradSink::~ScopedGradSink() {
-  Deactivate();
-  // Buffers return to the destroying thread's pool (typically the merging
-  // thread), keeping the steady-state parallel step allocation-free.
-  for (Entry& entry : entries_) ReleaseBuffer(std::move(entry.grad));
-}
+ScopedGradSink::~ScopedGradSink() { Deactivate(); }
 
 void ScopedGradSink::Deactivate() {
   if (active_) {
@@ -331,25 +326,51 @@ void ScopedGradSink::Deactivate() {
   }
 }
 
+void ScopedGradSink::Activate() {
+  IMR_CHECK(!active_);
+  previous_ = g_active_sink;
+  g_active_sink = this;
+  active_ = true;
+}
+
+void ScopedGradSink::Reset() {
+  IMR_CHECK(!active_);
+  for (Entry& entry : entries_) entry.live = false;
+}
+
 ScopedGradSink::Entry& ScopedGradSink::EntryFor(
     const std::shared_ptr<TensorImpl>& impl, bool row_sparse) {
   auto it = index_.find(impl.get());
   if (it == index_.end()) {
     it = index_.emplace(impl.get(), entries_.size()).first;
-    Entry entry;
-    entry.impl = impl;
-    if (row_sparse) {
-      // The buffer stays dirty; each row is zeroed on first touch
-      // (RecordRows), keeping entry setup O(touched rows).
-      entry.row_sparse = true;
-      entry.grad = AcquireBuffer(impl->value.size());
-    } else {
-      entry.grad = AcquireBufferFill(impl->value.size(), 0.0f);
-      if (impl->row_sparse) NoteDenseFallback();
-    }
-    entries_.push_back(std::move(entry));
+    Entry fresh;
+    fresh.impl = impl;
+    entries_.push_back(std::move(fresh));
   }
-  return entries_[it->second];
+  Entry& entry = entries_[it->second];
+  if (entry.live) return entry;
+  // First touch since creation or Reset(): set up as a fresh entry, reusing
+  // the buffer a previous step left. The buffer is the sink's own heap
+  // storage, not the buffer pool's: it lives as long as the sink (a whole
+  // training run for the trainer's), so it is no part of any thread's
+  // per-step working set, and it never lands in the pool of whichever
+  // thread merges or destroys the sink.
+  entry.live = true;
+  entry.touched_rows.clear();
+  if (entry.grad.size() != impl->value.size()) {
+    // Once per leaf per sink. imr-lint: allow(hot-path-alloc)
+    entry.grad = std::vector<float>(impl->value.size());
+  }
+  if (row_sparse) {
+    // The buffer stays dirty; each row is zeroed on first touch
+    // (RecordRows), keeping entry setup O(touched rows).
+    entry.row_sparse = true;
+  } else {
+    std::fill(entry.grad.begin(), entry.grad.end(), 0.0f);
+    entry.row_sparse = false;
+    if (impl->row_sparse) NoteDenseFallback();
+  }
+  return entry;
 }
 
 std::vector<float>* ScopedGradSink::BufferFor(
@@ -386,6 +407,7 @@ std::vector<float>* ScopedGradSink::BufferForRows(
 
 void ScopedGradSink::MergeIntoShared() {
   for (Entry& entry : entries_) {
+    if (!entry.live) continue;
     entry.impl->EnsureGrad();
     float* dst = entry.impl->grad.data();
     const float* src = entry.grad.data();

@@ -202,7 +202,10 @@ Tensor MakeResult(std::vector<int> shape, std::vector<float> value,
 /// data-parallel forward pass, so their member grad is already private and
 /// stays in use. After the parallel region the caller merges sinks into the
 /// shared grads sequentially (in a fixed order, keeping float accumulation
-/// deterministic for a fixed chunk count).
+/// deterministic for a fixed chunk count). A sink can serve step after
+/// step: Reset() after the merge and Activate() on whichever thread runs
+/// the next chunk, and its per-leaf buffers are reused rather than
+/// allocated again.
 class ScopedGradSink {
  public:
   /// Installs the sink on the constructing thread.
@@ -212,13 +215,27 @@ class ScopedGradSink {
   ScopedGradSink& operator=(const ScopedGradSink&) = delete;
 
   /// Uninstalls the sink (idempotent; the destructor calls it too). Must run
-  /// on the thread that constructed the sink. Lets a worker detach the sink
+  /// on the thread that installed the sink. Lets a worker detach the sink
   /// while keeping its buffers alive for a later merge on another thread.
   void Deactivate();
 
+  /// Installs a deactivated sink on the calling thread.
+  void Activate();
+
+  /// Readies a merged (or unused) sink for the next step: every entry
+  /// starts over as on its first touch, keeping its buffer. Entries keep
+  /// their leaves alive until the sink is destroyed. Call while the sink is
+  /// inactive.
+  void Reset();
+
   struct Entry {
     std::shared_ptr<TensorImpl> impl;
-    std::vector<float> grad;  // same length as impl->value
+    // Same length as impl->value; heap storage owned by the sink (not the
+    // buffer pool), kept across Reset().
+    std::vector<float> grad;
+    // True once a backward closure touched the leaf since the entry was
+    // created or the sink Reset(); merges skip entries that are not live.
+    bool live = false;
     // Row-sparse entries hand their buffer over dirty and zero each row on
     // first touch, so a data-parallel chunk's bookkeeping stays O(touched
     // rows); touched_rows is sorted-unique. Dense entries are zero-filled
@@ -227,7 +244,8 @@ class ScopedGradSink {
     std::vector<int> touched_rows;
   };
 
-  /// Leaves this sink captured, in first-touch order.
+  /// Leaves this sink captured, in first-touch order (entries not touched
+  /// since the last Reset() have live == false).
   const std::vector<Entry>& entries() const { return entries_; }
 
   /// Adds the buffered gradients into the shared impl->grad fields. Call

@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -177,6 +178,18 @@ void ThreadPool::ParallelForChunks(
     first = region.first_exception;
   }
   if (first) std::rethrow_exception(first);
+}
+
+void ThreadPool::RunOnEachThread(const std::function<void(int)>& fn) {
+  IMR_CHECK(!InParallelRegion());
+  // Each chunk spins until every chunk has started, so no thread can take
+  // a second one; the pool's threads_ threads each take exactly one.
+  std::atomic<int> started{0};
+  ParallelForChunks(0, threads_, 1, [&](int64_t, int64_t, int64_t chunk) {
+    started.fetch_add(1);
+    while (started.load() < threads_) std::this_thread::yield();
+    fn(static_cast<int>(chunk));
+  });
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,

@@ -71,6 +71,14 @@ class ThreadPool {
       const std::function<void(int64_t, int64_t, int64_t)>& fn)
       IMR_EXCLUDES(submit_mutex_, mutex_);
 
+  /// Runs fn once on every thread of the pool, the caller included, each
+  /// call on a different thread: a thread holds its call until all of them
+  /// have started one. For warming per-thread state, such as each thread's
+  /// buffer pool, before a measurement. Must not be called from inside a
+  /// chunk body (a nested region runs inline on one thread).
+  void RunOnEachThread(const std::function<void(int)>& fn)
+      IMR_EXCLUDES(submit_mutex_, mutex_);
+
   /// Number of chunks ParallelFor would create — callers pre-size
   /// per-chunk scratch with this.
   static int64_t NumChunks(int64_t begin, int64_t end, int64_t grain);

@@ -3,8 +3,13 @@
 // stability, and the headline property the pool exists for — a warmed-up
 // training step and a cached serve Predict run with ZERO pool misses. A
 // Predict's pool traffic must not grow with the relation count (one pass
-// scores every relation). The last tests migrate buffers across threads
-// for TSan coverage and exit the process with live worker pools for ASan.
+// scores every relation). Each thread's pool holds only its own working
+// set: buffers released on a thread that did not acquire them are freed,
+// a full PA-TMR step (sequential, and data-parallel on four threads) runs
+// with zero misses and flat pooled bytes, and snapshot reloads at rest on
+// a thread that has trained and served neither miss nor move its pooled
+// bytes. The last tests migrate buffers across threads for TSan coverage
+// and exit the process with live worker pools for ASan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,10 +28,12 @@
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
+#include "pa_step.h"
 #include "re/bag_dataset.h"
 #include "re/pa_model.h"
 #include "re/trainer.h"
 #include "serve/inference_engine.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
@@ -335,6 +342,150 @@ TEST(BufferPoolTest, PredictPoolTrafficIndependentOfRelationCount) {
   EXPECT_GT(small, 0u);
   EXPECT_EQ(small, large) << "pool acquisitions grew with num_relations";
   util::SetGlobalThreads(saved_threads);
+}
+
+// Sizes the global pool for one test and puts the previous size back.
+class ScopedGlobalThreads {
+ public:
+  explicit ScopedGlobalThreads(int threads) : saved_(util::GlobalThreads()) {
+    util::SetGlobalThreads(threads);
+  }
+  ~ScopedGlobalThreads() { util::SetGlobalThreads(saved_); }
+
+ private:
+  int saved_;
+};
+
+TEST(BufferPoolTest, ReleasingThreadKeepsOnlyItsOwnWorkingSet) {
+  // Thread A acquires 64 buffers of the 1024-float class and 32 tensors
+  // (value buffers plus node blocks); thread B, whose own working set is
+  // two such buffers and one such tensor, releases all of them.
+  constexpr size_t kFloats = 1000;  // size class 2^10
+  std::vector<std::vector<float>> buffers;
+  std::vector<Tensor> tensors;
+  std::thread a([&] {
+    for (int i = 0; i < 64; ++i) buffers.push_back(AcquireBuffer(kFloats));
+    for (int i = 0; i < 32; ++i) tensors.push_back(Tensor::Zeros({4, 4}));
+  });
+  a.join();
+  // Nothing else runs meanwhile, so the all-thread gauges move only with
+  // thread B's pool.
+  tensor::PoolStatsSnapshot start, own, after;
+  std::thread b([&] {
+    start = PoolStats();
+    {
+      std::vector<float> x = AcquireBuffer(kFloats);
+      std::vector<float> y = AcquireBuffer(kFloats);
+      Tensor t = Tensor::Zeros({4, 4});
+      ReleaseBuffer(std::move(x));
+      ReleaseBuffer(std::move(y));
+    }
+    own = PoolStats();
+    for (std::vector<float>& buffer : buffers) ReleaseBuffer(std::move(buffer));
+    tensors.clear();
+    after = PoolStats();
+  });
+  b.join();
+  // Two 1024-float buffers and one tensor value.
+  EXPECT_EQ(own.pooled_buffers - start.pooled_buffers, 3u);
+  EXPECT_EQ(after.pooled_buffers, own.pooled_buffers);
+  EXPECT_EQ(after.pooled_bytes, own.pooled_bytes)
+      << "thread B cached buffers and node blocks acquired on thread A";
+}
+
+// The PA-TMR set-up bench_kernels' smoke gate trains, built once for the
+// tests below.
+const bench::PaStepSetup& GetPaSetup() {
+  static const std::unique_ptr<bench::PaStepSetup> setup =
+      bench::MakePaStepSetup(/*scale=*/0.5);
+  return *setup;
+}
+
+TEST(BufferPoolTest, ZeroMissSequentialPaModelStep) {
+  ScopedGlobalThreads threads(1);
+  const bench::PaStepSetup& s = GetPaSetup();
+  util::Rng init(3);
+  re::PaModel model(s.config, &init);
+  model.SetTraining(true);
+  nn::Adam adam(&model, 0.01f);
+  util::Rng rng(5);
+  std::vector<const re::Bag*> batch;
+  for (const re::Bag& bag : s.same_shape_batch) batch.push_back(&bag);
+  auto step = [&] {
+    model.ZeroGrad();
+    Tensor loss = model.BatchLoss(batch, &rng);
+    loss.Backward();
+    adam.Step();
+  };
+  for (int i = 0; i < 3; ++i) step();  // warm-up
+  ResetPoolStats();
+  const uint64_t pooled = PoolStats().pooled_bytes;
+  for (int i = 0; i < 5; ++i) {
+    step();
+    EXPECT_EQ(PoolStats().pooled_bytes, pooled) << "step " << i;
+  }
+  const tensor::PoolStatsSnapshot stats = PoolStats();
+  EXPECT_EQ(stats.total_misses(), 0u)
+      << "buffer_misses=" << stats.buffer_misses
+      << " node_misses=" << stats.node_misses;
+  EXPECT_GT(stats.total_hits(), 0u);
+}
+
+TEST(BufferPoolTest, ZeroMissDataParallelPaModelStep) {
+  // Three warm-up and five measured Trainer epochs of one batch each on
+  // four global threads.
+  const bench::PaStepResult result = bench::RunDataParallelPaStep(
+      GetPaSetup(), GetPaSetup().same_shape_batch, /*warmup_epochs=*/3);
+  ASSERT_EQ(result.pooled_after.size(), 5u);
+  for (uint64_t bytes : result.pooled_after) {
+    EXPECT_EQ(bytes, result.pooled_at_warmup);
+  }
+  EXPECT_EQ(result.misses, 0u);
+  EXPECT_GT(result.acquires, 0u);
+}
+
+TEST(BufferPoolTest, SnapshotReloadsAtRestKeepPooledBytesFlat) {
+  ScopedGlobalThreads threads(1);
+  const bench::PaStepSetup& s = GetPaSetup();
+  util::Rng init(3);
+  re::PaModel model(s.config, &init);
+  model.SetTraining(false);
+  const std::string path =
+      testing::TempDir() + "/imr_buffer_pool_reload_test.imrs";
+  ASSERT_TRUE(serve::SaveSnapshot(model, s.bags.vocabulary(), s.embeddings,
+                                  s.dataset.world.graph, s.bag_options,
+                                  /*trained_steps=*/1, "reload_test", path)
+                  .ok());
+  auto router_or = serve::ServeRouter::Open(path);
+  ASSERT_TRUE(router_or.ok()) << router_or.status().message();
+  std::unique_ptr<serve::ServeRouter> router = std::move(router_or).value();
+  // Reloads run on a thread whose pool has history, as a serving process's
+  // do: this one trains a step and serves a Predict first, so the size
+  // classes a model load touches already hold buffers.
+  {
+    re::PaModel trainee(s.config, &init);
+    trainee.SetTraining(true);
+    util::Rng rng(5);
+    std::vector<const re::Bag*> batch;
+    for (const re::Bag& bag : s.same_shape_batch) batch.push_back(&bag);
+    trainee.BatchLoss(batch, &rng).Backward();
+    model.Predict(s.same_shape_batch[0]);
+  }
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(router->Reload(path).ok());
+  ResetPoolStats();
+  const uint64_t pooled = PoolStats().pooled_bytes;
+  for (int i = 0; i < 110; ++i) {
+    ASSERT_TRUE(router->Reload(path).ok());
+    if (i % 10 == 9) {
+      EXPECT_EQ(PoolStats().pooled_bytes, pooled) << "after reload " << i + 11;
+    }
+  }
+  const tensor::PoolStatsSnapshot stats = PoolStats();
+  EXPECT_EQ(stats.total_misses(), 0u)
+      << "buffer_misses=" << stats.buffer_misses
+      << " node_misses=" << stats.node_misses;
+  EXPECT_GT(stats.total_hits(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(BufferPoolTest, CrossThreadMigrationIsSafe) {

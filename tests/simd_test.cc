@@ -1,15 +1,21 @@
 // Backend-equivalence suite for the runtime-dispatched SIMD kernels:
 // every backend the host supports is driven through the same inputs and
-// compared against the scalar reference — bit-identical where the contract
-// promises it (elementwise, int8 GEMM), within documented ULP/relative
+// compared against the scalar reference — bit-identical for every [exact]
+// entry (elementwise, axpy, the sentence conv, int8 GEMM), swept over
+// log-uniform shapes from a fixed seed, and within documented ULP/relative
 // bounds where vector math reassociates (tanh, matmul, softmax). Also
-// covers the dispatch rule itself (train=scalar / eval=best), the scoped
-// pin, and the int8 quantization round trips.
+// covers the dispatch rule itself (train = the backend's exact entries
+// over scalar / eval = best), the scoped pin, and the int8 quantization
+// round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "graph/embedding_store.h"
@@ -45,6 +51,17 @@ std::vector<float> RandomFloats(size_t n, float lo, float hi,
   return out;
 }
 
+// Number of positions where a and b differ in any bit (so -0.0f vs +0.0f
+// and differing NaN payloads count); a size mismatch counts every element.
+size_t BitMismatches(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return std::max(a.size(), b.size());
+  size_t mismatches = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) ++mismatches;
+  }
+  return mismatches;
+}
+
 // Saves the process-global training-vectorization switch so tests can
 // force the documented default (scalar training) and put the user's
 // environment back afterwards.
@@ -75,6 +92,9 @@ TEST(SimdDispatchTest, KernelTablesAreFullyPopulated) {
     EXPECT_NE(kernels.sub, nullptr);
     EXPECT_NE(kernels.mul, nullptr);
     EXPECT_NE(kernels.scale, nullptr);
+    EXPECT_NE(kernels.axpy, nullptr);
+    EXPECT_NE(kernels.conv1d_pack, nullptr);
+    EXPECT_NE(kernels.conv1d_rows, nullptr);
     EXPECT_NE(kernels.tanh, nullptr);
     EXPECT_NE(kernels.affine_tanh_finish, nullptr);
     EXPECT_NE(kernels.matmul_panel_dot, nullptr);
@@ -82,14 +102,49 @@ TEST(SimdDispatchTest, KernelTablesAreFullyPopulated) {
     EXPECT_NE(kernels.softmax_rows, nullptr);
     EXPECT_NE(kernels.log_softmax_rows, nullptr);
     EXPECT_NE(kernels.gemm_s8s32, nullptr);
+    EXPECT_NE(kernels.ann_dot_many, nullptr);
+    EXPECT_NE(kernels.ann_l2sqr_many, nullptr);
+    EXPECT_NE(kernels.ann_cosine_many, nullptr);
+    EXPECT_NE(kernels.ann_dot_batch, nullptr);
   }
 }
 
-TEST(SimdDispatchTest, TrainKernelsAreScalarByDefault) {
+// Training runs the eval backend's [exact] entries, which give the scalar
+// bits, and the scalar [approximate] ones.
+void ExpectExactOverScalar(const simd::Kernels& train,
+                           const simd::Kernels& eval) {
+  const simd::Kernels& scalar = simd::KernelsFor(simd::Backend::kScalar);
+  EXPECT_EQ(train.backend, eval.backend);
+  EXPECT_EQ(train.add, eval.add);
+  EXPECT_EQ(train.sub, eval.sub);
+  EXPECT_EQ(train.mul, eval.mul);
+  EXPECT_EQ(train.scale, eval.scale);
+  EXPECT_EQ(train.axpy, eval.axpy);
+  EXPECT_EQ(train.conv1d_pack, eval.conv1d_pack);
+  EXPECT_EQ(train.conv1d_rows, eval.conv1d_rows);
+  EXPECT_EQ(train.gemm_s8s32, eval.gemm_s8s32);
+  EXPECT_EQ(train.tanh, scalar.tanh);
+  EXPECT_EQ(train.affine_tanh_finish, scalar.affine_tanh_finish);
+  EXPECT_EQ(train.matmul_panel_dot, scalar.matmul_panel_dot);
+  EXPECT_EQ(train.matmul_ikj, scalar.matmul_ikj);
+  EXPECT_EQ(train.softmax_rows, scalar.softmax_rows);
+  EXPECT_EQ(train.log_softmax_rows, scalar.log_softmax_rows);
+  EXPECT_EQ(train.ann_dot_many, scalar.ann_dot_many);
+  EXPECT_EQ(train.ann_l2sqr_many, scalar.ann_l2sqr_many);
+  EXPECT_EQ(train.ann_cosine_many, scalar.ann_cosine_many);
+  EXPECT_EQ(train.ann_dot_batch, scalar.ann_dot_batch);
+}
+
+TEST(SimdDispatchTest, TrainKernelsTakeOnlyExactEntriesByDefault) {
   ScopedScalarTraining scalar_training;
-  EXPECT_EQ(simd::TrainKernels().backend, simd::Backend::kScalar);
+  ExpectExactOverScalar(simd::TrainKernels(), simd::EvalKernels());
   // GradModeEnabled() is the process default, so Active() == TrainKernels.
-  EXPECT_EQ(simd::Active().backend, simd::Backend::kScalar);
+  EXPECT_EQ(&simd::Active(), &simd::TrainKernels());
+  // The train table follows a pinned eval backend.
+  for (simd::Backend backend : simd::SupportedBackends()) {
+    simd::ScopedEvalBackend pin(backend);
+    ExpectExactOverScalar(simd::TrainKernels(), simd::KernelsFor(backend));
+  }
 }
 
 TEST(SimdDispatchTest, EvalKernelsFollowDetectionUnlessPinned) {
@@ -117,8 +172,9 @@ TEST(SimdDispatchTest, VectorizedTrainingOptInLiftsTrainKernels) {
   ScopedScalarTraining scalar_training;
   simd::SetVectorizedTraining(true);
   EXPECT_EQ(simd::TrainKernels().backend, simd::ActiveEvalBackend());
+  EXPECT_EQ(&simd::TrainKernels(), &simd::EvalKernels());
   simd::SetVectorizedTraining(false);
-  EXPECT_EQ(simd::TrainKernels().backend, simd::Backend::kScalar);
+  ExpectExactOverScalar(simd::TrainKernels(), simd::EvalKernels());
 }
 
 TEST(SimdDispatchTest, SetBackendByNameValidatesInput) {
@@ -146,28 +202,143 @@ TEST(SimdDispatchTest, SetBackendByNameValidatesInput) {
 
 // ---- backend equivalence --------------------------------------------------
 
-TEST(SimdKernelTest, ElementwiseBitIdenticalAcrossBackends) {
-  // Sizes straddle the vector widths so every tail path runs.
-  for (const size_t n : {1u, 7u, 8u, 15u, 64u, 257u}) {
-    const std::vector<float> a = RandomFloats(n, -3.0f, 3.0f, 11 + n);
-    const std::vector<float> b = RandomFloats(n, -3.0f, 3.0f, 23 + n);
-    std::vector<float> ref_add(n), ref_sub(n), ref_mul(n), ref_scale(n);
-    const simd::Kernels& scalar = simd::KernelsFor(simd::Backend::kScalar);
-    scalar.add(a.data(), b.data(), ref_add.data(), n);
-    scalar.sub(a.data(), b.data(), ref_sub.data(), n);
-    scalar.mul(a.data(), b.data(), ref_mul.data(), n);
-    scalar.scale(a.data(), 1.7f, ref_scale.data(), n);
+// ---- exactness sweep ------------------------------------------------------
+//
+// Every [exact] entry on every compiled backend against the scalar table,
+// bit for bit, over shapes drawn log-uniformly from a fixed seed (the
+// randomDoubleLog helper of OpenCV's TSTestWithParam), plus pinned shapes:
+// the benchmark dims (word 16 + 2 x position 3 = 22 inputs, 32 filters, 17
+// tokens), the paper's Table III dims (50 + 2 x 5 = 60, 230 filters, 30
+// and 120 tokens), and dims and filter counts that leave vector tails. The
+// exact kernel TUs are built with -ffp-contract=off (the AVX2 one without
+// -mfma): a build that fuses a multiply and an add into an FMA rounds once
+// instead of twice and fails this sweep.
+
+class ShapeDraw {
+ public:
+  explicit ShapeDraw(uint64_t seed) : rng_(seed) {}
+  // Log-uniform integer in [lo, hi].
+  int LogUniform(int lo, int hi) {
+    const double log_lo = std::log(static_cast<double>(lo));
+    const double log_hi = std::log(static_cast<double>(hi) + 1.0);
+    const int v = static_cast<int>(std::exp(rng_.Uniform(log_lo, log_hi)));
+    return std::min(hi, std::max(lo, v));
+  }
+  int Pick(std::initializer_list<int> values) {
+    const uint64_t i = rng_.UniformInt(values.size());
+    return *(values.begin() + static_cast<long>(i));
+  }
+
+ private:
+  util::Rng rng_;
+};
+
+struct ConvShape {
+  int time, dim, filters, window;
+};
+
+std::string ShapeName(const ConvShape& s) {
+  return "time=" + std::to_string(s.time) + " dim=" + std::to_string(s.dim) +
+         " filters=" + std::to_string(s.filters) +
+         " window=" + std::to_string(s.window);
+}
+
+std::vector<ConvShape> ConvSweepShapes() {
+  std::vector<ConvShape> shapes = {
+      {17, 22, 32, 3},    // benchmark dims
+      {30, 60, 230, 3},   // Table III, 30 tokens
+      {120, 60, 230, 3},  // Table III, 120 tokens
+      {1, 22, 13, 3},     {2, 55, 7, 5},   {9, 55, 41, 3},
+      {5, 1, 1, 1},       {3, 8, 8, 3},    {40, 19, 230, 5},
+  };
+  ShapeDraw draw(20240611);
+  for (int i = 0; i < 48; ++i) {
+    shapes.push_back({draw.LogUniform(1, 120), draw.LogUniform(1, 64),
+                      draw.LogUniform(1, 256), draw.Pick({1, 3, 5})});
+  }
+  return shapes;
+}
+
+// Forward outputs of one conv through `kernels`, rows computed in chunks
+// of `grain` (chunking must not change a bit either).
+std::vector<float> ConvRows(const simd::Kernels& kernels,
+                            const ConvShape& s, const std::vector<float>& x,
+                            const std::vector<float>& weight,
+                            const std::vector<float>& bias, int grain) {
+  const int inner = s.window * s.dim;
+  std::vector<float> packed(static_cast<size_t>(s.filters) * inner);
+  kernels.conv1d_pack(weight.data(), s.filters, inner, packed.data());
+  std::vector<float> out(static_cast<size_t>(s.time) * s.filters);
+  for (int t = 0; t < s.time; t += grain) {
+    kernels.conv1d_rows(x.data(), weight.data(), packed.data(), bias.data(),
+                        out.data(), s.time, s.dim, s.filters, s.window, t,
+                        std::min(s.time, t + grain));
+  }
+  return out;
+}
+
+TEST(SimdExactnessTest, ConvRowsBitIdenticalOnEveryBackend) {
+  const simd::Kernels& scalar = simd::KernelsFor(simd::Backend::kScalar);
+  uint64_t seed = 1;
+  size_t outputs = 0;
+  for (const ConvShape& s : ConvSweepShapes()) {
+    const int inner = s.window * s.dim;
+    const std::vector<float> x = RandomFloats(
+        static_cast<size_t>(s.time) * s.dim, -1.0f, 1.0f, seed++);
+    const std::vector<float> weight = RandomFloats(
+        static_cast<size_t>(s.filters) * inner, -0.5f, 0.5f, seed++);
+    const std::vector<float> bias =
+        RandomFloats(static_cast<size_t>(s.filters), -0.5f, 0.5f, seed++);
+    const std::vector<float> reference =
+        ConvRows(scalar, s, x, weight, bias, s.time);
+    outputs += reference.size();
     for (simd::Backend backend : simd::SupportedBackends()) {
       const simd::Kernels& kernels = simd::KernelsFor(backend);
-      std::vector<float> out(n);
-      kernels.add(a.data(), b.data(), out.data(), n);
-      EXPECT_EQ(out, ref_add) << simd::BackendName(backend) << " n=" << n;
-      kernels.sub(a.data(), b.data(), out.data(), n);
-      EXPECT_EQ(out, ref_sub) << simd::BackendName(backend) << " n=" << n;
-      kernels.mul(a.data(), b.data(), out.data(), n);
-      EXPECT_EQ(out, ref_mul) << simd::BackendName(backend) << " n=" << n;
-      kernels.scale(a.data(), 1.7f, out.data(), n);
-      EXPECT_EQ(out, ref_scale) << simd::BackendName(backend) << " n=" << n;
+      for (int grain : {s.time, 3}) {
+        EXPECT_EQ(BitMismatches(ConvRows(kernels, s, x, weight, bias, grain),
+                                reference),
+                  0u)
+            << simd::BackendName(backend) << " " << ShapeName(s)
+            << " grain=" << grain << " (of " << reference.size()
+            << " outputs)";
+      }
+    }
+  }
+  EXPECT_GT(outputs, 50000u);  // the sweep is not vacuous
+}
+
+TEST(SimdExactnessTest, ElementwiseAndAxpyBitIdenticalOnEveryBackend) {
+  const simd::Kernels& scalar = simd::KernelsFor(simd::Backend::kScalar);
+  ShapeDraw draw(77);
+  std::vector<size_t> sizes = {1, 3, 7, 8, 9, 19, 22, 55, 57, 165};
+  for (int i = 0; i < 40; ++i) {
+    sizes.push_back(static_cast<size_t>(draw.LogUniform(1, 5000)));
+  }
+  uint64_t seed = 100;
+  for (const size_t n : sizes) {
+    const std::vector<float> a = RandomFloats(n, -3.0f, 3.0f, seed++);
+    const std::vector<float> b = RandomFloats(n, -3.0f, 3.0f, seed++);
+    const float s = static_cast<float>(draw.LogUniform(1, 1000)) / 77.0f;
+    auto run = [&](const simd::Kernels& k) {
+      std::vector<std::vector<float>> out(5, std::vector<float>(n));
+      k.add(a.data(), b.data(), out[0].data(), n);
+      k.sub(a.data(), b.data(), out[1].data(), n);
+      k.mul(a.data(), b.data(), out[2].data(), n);
+      k.scale(a.data(), s, out[3].data(), n);
+      out[4] = b;
+      k.axpy(s, a.data(), out[4].data(), n);
+      k.axpy(-0.3f, b.data(), out[4].data(), n);
+      return out;
+    };
+    const std::vector<std::vector<float>> reference = run(scalar);
+    const char* names[] = {"add", "sub", "mul", "scale", "axpy"};
+    for (simd::Backend backend : simd::SupportedBackends()) {
+      const std::vector<std::vector<float>> out =
+          run(simd::KernelsFor(backend));
+      for (size_t e = 0; e < out.size(); ++e) {
+        EXPECT_EQ(BitMismatches(out[e], reference[e]), 0u)
+            << simd::BackendName(backend) << " " << names[e] << " n=" << n;
+      }
     }
   }
 }
@@ -278,37 +449,45 @@ TEST(SimdKernelTest, SoftmaxKernelsMatchScalarAndNormalize) {
   }
 }
 
-TEST(SimdKernelTest, GemmS8S32BitIdenticalAcrossBackends) {
-  const int rows = 6, inner = 53, cols = 19;
+TEST(SimdExactnessTest, GemmS8S32BitIdenticalOnEveryBackend) {
   util::Rng rng(99);
-  std::vector<int8_t> a(static_cast<size_t>(rows) * inner);
-  std::vector<int8_t> wt(static_cast<size_t>(cols) * inner);
-  for (int8_t& v : a) {
-    v = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
+  ShapeDraw draw(31);
+  std::vector<std::array<int, 3>> shapes = {{6, 53, 19}};  // rows, inner, cols
+  for (int i = 0; i < 12; ++i) {
+    shapes.push_back({draw.LogUniform(1, 64), draw.LogUniform(1, 300),
+                      draw.LogUniform(1, 64)});
   }
-  for (int8_t& v : wt) {
-    v = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
-  }
-  const size_t out_size = static_cast<size_t>(rows) * cols;
-  std::vector<int32_t> reference(out_size);
-  simd::KernelsFor(simd::Backend::kScalar)
-      .gemm_s8s32(a.data(), wt.data(), reference.data(), rows, inner, cols);
-  // Spot-check the scalar reference against a plain double loop.
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      int64_t want = 0;
-      for (int k = 0; k < inner; ++k) {
-        want += static_cast<int64_t>(a[static_cast<size_t>(r) * inner + k]) *
-                wt[static_cast<size_t>(c) * inner + k];
-      }
-      EXPECT_EQ(reference[static_cast<size_t>(r) * cols + c], want);
+  for (const auto& [rows, inner, cols] : shapes) {
+    std::vector<int8_t> a(static_cast<size_t>(rows) * inner);
+    std::vector<int8_t> wt(static_cast<size_t>(cols) * inner);
+    for (int8_t& v : a) {
+      v = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
     }
-  }
-  for (simd::Backend backend : simd::SupportedBackends()) {
-    std::vector<int32_t> out(out_size);
-    simd::KernelsFor(backend).gemm_s8s32(a.data(), wt.data(), out.data(),
-                                         rows, inner, cols);
-    EXPECT_EQ(out, reference) << simd::BackendName(backend);
+    for (int8_t& v : wt) {
+      v = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
+    }
+    const size_t out_size = static_cast<size_t>(rows) * cols;
+    std::vector<int32_t> reference(out_size);
+    simd::KernelsFor(simd::Backend::kScalar)
+        .gemm_s8s32(a.data(), wt.data(), reference.data(), rows, inner, cols);
+    // Spot-check the scalar reference against a plain 64-bit loop.
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        int64_t want = 0;
+        for (int k = 0; k < inner; ++k) {
+          want += static_cast<int64_t>(a[static_cast<size_t>(r) * inner + k]) *
+                  wt[static_cast<size_t>(c) * inner + k];
+        }
+        EXPECT_EQ(reference[static_cast<size_t>(r) * cols + c], want);
+      }
+    }
+    for (simd::Backend backend : simd::SupportedBackends()) {
+      std::vector<int32_t> out(out_size);
+      simd::KernelsFor(backend).gemm_s8s32(a.data(), wt.data(), out.data(),
+                                           rows, inner, cols);
+      EXPECT_EQ(out, reference) << simd::BackendName(backend) << " " << rows
+                                << "x" << inner << "x" << cols;
+    }
   }
 }
 
@@ -324,6 +503,65 @@ TEST(SimdOpsTest, TrainingModeTanhStaysBitIdenticalToStdTanh) {
   tensor::Tensor y = tensor::Tanh(x);
   for (size_t i = 0; i < y.size(); ++i) {
     EXPECT_EQ(y.data()[i], std::tanh(x.data()[i]));
+  }
+}
+
+// Conv1dSame forward and backward through the op, under grad mode (the
+// pinned backend's TrainKernels) and under NoGradGuard, bit for bit
+// against the scalar pin. The output gradient is a mask of mostly zeros,
+// some -0.0f, the way a piecewise max pool leaves it.
+TEST(SimdOpsTest, ConvForwardAndBackwardBitIdenticalOnEveryBackend) {
+  ScopedScalarTraining scalar_training;
+  struct Result {
+    std::vector<float> out, eval_out, gx, gw, gb;
+  };
+  for (const ConvShape& s : {ConvShape{17, 22, 32, 3},
+                             ConvShape{30, 60, 230, 3},
+                             ConvShape{6, 55, 13, 5}}) {
+    const int inner = s.window * s.dim;
+    const std::vector<float> xv =
+        RandomFloats(static_cast<size_t>(s.time) * s.dim, -1.0f, 1.0f, 3);
+    const std::vector<float> wv =
+        RandomFloats(static_cast<size_t>(s.filters) * inner, -0.5f, 0.5f, 4);
+    const std::vector<float> bv =
+        RandomFloats(static_cast<size_t>(s.filters), -0.5f, 0.5f, 5);
+    std::vector<float> mask(static_cast<size_t>(s.time) * s.filters, 0.0f);
+    util::Rng rng(6);
+    for (float& m : mask) {
+      const uint64_t pick = rng.UniformInt(10);
+      if (pick == 0) m = -0.0f;
+      if (pick >= 8) m = static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+    auto run = [&](simd::Backend backend) {
+      simd::ScopedEvalBackend pin(backend);
+      Result r;
+      tensor::Tensor x = tensor::Tensor::FromData({s.time, s.dim}, xv, true);
+      tensor::Tensor w =
+          tensor::Tensor::FromData({s.filters, inner}, wv, true);
+      tensor::Tensor b = tensor::Tensor::FromData({s.filters}, bv, true);
+      tensor::Tensor out = tensor::Conv1dSame(x, w, b, s.window);
+      tensor::Sum(tensor::Mul(
+                      out, tensor::Tensor::FromData({s.time, s.filters}, mask)))
+          .Backward();
+      r.out = out.data();
+      r.gx = x.grad();
+      r.gw = w.grad();
+      r.gb = b.grad();
+      tensor::NoGradGuard no_grad;
+      r.eval_out = tensor::Conv1dSame(x, w, b, s.window).data();
+      return r;
+    };
+    const Result reference = run(simd::Backend::kScalar);
+    for (simd::Backend backend : simd::SupportedBackends()) {
+      const Result r = run(backend);
+      const std::string where =
+          std::string(simd::BackendName(backend)) + " " + ShapeName(s);
+      EXPECT_EQ(BitMismatches(r.out, reference.out), 0u) << where;
+      EXPECT_EQ(BitMismatches(r.eval_out, reference.out), 0u) << where;
+      EXPECT_EQ(BitMismatches(r.gx, reference.gx), 0u) << where;
+      EXPECT_EQ(BitMismatches(r.gw, reference.gw), 0u) << where;
+      EXPECT_EQ(BitMismatches(r.gb, reference.gb), 0u) << where;
+    }
   }
 }
 

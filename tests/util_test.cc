@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "util/flags.h"
 #include "util/rng.h"
@@ -391,6 +394,28 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
   EXPECT_FALSE(ThreadPool::InParallelRegion());
+}
+
+TEST(ThreadPoolTest, RunOnEachThreadRunsOncePerThread) {
+  ThreadPool pool(4);
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  std::vector<int> indices;
+  pool.RunOnEachThread([&](int index) {
+    std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+    indices.push_back(index);
+  });
+  EXPECT_EQ(ids.size(), 4u);
+  std::sort(indices.begin(), indices.end());
+  EXPECT_EQ(indices, (std::vector<int>{0, 1, 2, 3}));
+  ThreadPool single(1);
+  int calls = 0;
+  single.RunOnEachThread([&](int index) {
+    EXPECT_EQ(index, 0);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(ThreadPoolTest, RegionTeardownStress) {
