@@ -130,7 +130,7 @@ struct SweepCell {
 // fastest-segment-wins idiom: on this 1-core host a scheduler preemption
 // can add milliseconds to any single call, and the gate is about the
 // index's intrinsic per-query cost, not the OS tail (bench_serve owns
-// the end-to-end tail gates). max_us keeps the raw worst observation
+// the serving tail gate). max_us keeps the raw worst observation
 // for the report.
 SweepCell TimeIndex(const graph::ann::AnnIndex& index,
                     const std::vector<float>& queries, int num_queries,

@@ -45,9 +45,6 @@ void RegisterCommonFlags(util::FlagParser* flags) {
   flags->AddString("imr_kernel_backend", "",
                    "pin the eval kernel backend: scalar|sse2|avx2|neon "
                    "(empty or auto = fastest the host supports)");
-  flags->AddBool("imr_vectorized_training", false,
-                 "let gradient-mode ops use the vectorized backend too "
-                 "(default keeps training on the bit-exact scalar kernels)");
 }
 
 BenchContext ContextFromFlags(const util::FlagParser& flags) {
@@ -70,8 +67,6 @@ BenchContext ContextFromFlags(const util::FlagParser& flags) {
       std::abort();
     }
   }
-  tensor::simd::SetVectorizedTraining(
-      flags.GetBool("imr_vectorized_training"));
   return context;
 }
 

@@ -2,8 +2,8 @@
 # Full verification matrix: plain build + ctest, the kernel-benchmark smoke
 # gate (zero pool misses, zero dense full-table gradient scans in a
 # warmed-up training step, no silent scalar kernel fallback), the serving
-# SLO smoke gate (router tail latency, sharded cache hit rate, zero-failure
-# hot swap, int8 parity), the imr_serve CLI (query, then serve with a hot
+# smoke gate (router tail latency, snapshot-open and delta-apply growth
+# with the entity table), the imr_serve CLI (query, then serve with a hot
 # reload), the end-to-end benchmark smoke (served responses
 # bit-exact vs the reference, AUC floors, recorded train losses), the ANN
 # smoke gate (IVF recall@10 vs exact, sub-millisecond p99 at 100k
@@ -72,10 +72,11 @@ else
   record "bench-smoke" SKIP
 fi
 
-# 1b'. Serving SLO smoke: reduced replay through the router matrix, exits
-# nonzero if router tail latency regresses past 10x the single-thread
-# floor, the sharded MR cache loses hit rate vs a single shard, a hot swap
-# fails any request under load, or int8 serving diverges from fp32.
+# 1b'. Serving smoke: a reduced replay, exits nonzero if the router's p99
+# regresses past 10x the single-thread engine floor, or if snapshot open or
+# a 228-row delta apply grows more than 3x when the entity table grows 8x.
+# Cache, hot-swap, kNN-swap, delta-swap and int8 parity gates are ctest
+# cases (stage 1).
 if [ -x build/bench/bench_serve ]; then
   run_stage "serve-smoke" build/bench/bench_serve --smoke
 else

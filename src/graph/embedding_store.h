@@ -91,8 +91,9 @@ class EmbeddingStore {
 /// rows get scale 0), so dequantization is q[d] * scale and the worst-case
 /// row error is scale/2 ≈ maxabs/254. MR vectors computed from the
 /// quantized rows therefore differ from fp32 MR by at most
-/// (scale_i + scale_j)/2 per element — small enough for the serve-time
-/// accuracy gate in bench_serve, at a quarter of the memory traffic.
+/// (scale_i + scale_j)/2 per element — small enough for the int8 serving
+/// accuracy gate (QuantizedEngineTest.QuantizedServingAgreesWithFp32), at
+/// a quarter of the memory traffic.
 class QuantizedEmbeddingStore {
  public:
   QuantizedEmbeddingStore() = default;

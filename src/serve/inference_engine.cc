@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "re/bag_dataset.h"
-#include "tensor/buffer_pool.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -303,13 +302,6 @@ EngineStats InferenceEngine::Stats() const {
                       : 0.0;
     }
   }
-  const tensor::PoolStatsSnapshot pool = tensor::PoolStats();
-  stats.pool_hits = pool.total_hits();
-  stats.pool_misses = pool.total_misses();
-  const tensor::SparseGradStatsSnapshot sparse = tensor::SparseGradStats();
-  stats.sparse_rows_touched = sparse.rows_touched;
-  stats.sparse_rows_total = sparse.rows_total;
-  stats.sparse_dense_fallbacks = sparse.dense_fallbacks;
   return stats;
 }
 

@@ -60,7 +60,8 @@ struct EngineOptions {
   /// snapshot's QEMB section (quantized at load when the file has none)
   /// and the model's fusion heads run through the int8 GEMM
   /// (PaModel::EnableQuantizedInference). fp32 and quantized engines over
-  /// the same snapshot are compared by bench_serve's accuracy gate.
+  /// the same snapshot are compared by
+  /// QuantizedEngineTest.QuantizedServingAgreesWithFp32.
   bool quantized = false;
 };
 
@@ -125,18 +126,6 @@ struct EngineStats {
   uint64_t admitted = 0;
   uint64_t rejected_queue_full = 0;
   uint64_t shed_deadline = 0;
-  /// Tensor buffer-pool traffic, process-wide (tensor::PoolStats()). A
-  /// warmed-up engine serves cache-hit predictions with zero new pool
-  /// misses, so a rising miss count flags an allocation regression.
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  /// Row-sparse gradient traffic, process-wide (tensor::SparseGradStats()).
-  /// Inference itself takes no gradients, so for a pure serving process
-  /// these stay 0; a co-located trainer (train-demo, online fine-tuning)
-  /// surfaces its embedding-row touch rate and any dense fallbacks here.
-  uint64_t sparse_rows_touched = 0;
-  uint64_t sparse_rows_total = 0;
-  uint64_t sparse_dense_fallbacks = 0;
 };
 
 class InferenceEngine {

@@ -215,20 +215,11 @@ RouterStats ServeRouter::Stats() const {
     stats.delta_reloads = delta_reloads_;
     stats.last_reload_error = last_reload_error_;
   }
-  stats.replicas.reserve(engines_.size());
   EngineStats& total = stats.aggregate;
   std::vector<double> merged_samples;
   double latency_weighted_sum = 0.0;
-  for (size_t r = 0; r < engines_.size(); ++r) {
-    EngineStats replica = engines_[r]->Stats();
-    const AdmissionCounters admission =
-        admission_.Counters(static_cast<int>(r));
-    replica.queue_depth = admission.queue_depth;
-    replica.queue_peak = admission.queue_peak;
-    replica.admitted = admission.admitted;
-    replica.rejected_queue_full = admission.rejected_queue_full;
-    replica.shed_deadline = admission.shed_deadline;
-
+  for (const std::unique_ptr<InferenceEngine>& engine : engines_) {
+    const EngineStats replica = engine->Stats();
     total.requests += replica.requests;
     total.knn_fired += replica.knn_fired;
     total.mr_cache_hits += replica.mr_cache_hits;
@@ -249,10 +240,9 @@ RouterStats ServeRouter::Stats() const {
     // qps approximates the router's throughput.
     total.qps += replica.qps;
 
-    const std::vector<double> samples = engines_[r]->LatencySamples();
+    const std::vector<double> samples = engine->LatencySamples();
     merged_samples.insert(merged_samples.end(), samples.begin(),
                           samples.end());
-    stats.replicas.push_back(std::move(replica));
   }
   if (total.requests > 0) {
     total.mean_latency_us =
@@ -269,15 +259,6 @@ RouterStats ServeRouter::Stats() const {
   total.admitted = admission.admitted;
   total.rejected_queue_full = admission.rejected_queue_full;
   total.shed_deadline = admission.shed_deadline;
-  if (!stats.replicas.empty()) {
-    // Process-wide counters: copy once, never sum.
-    total.pool_hits = stats.replicas.front().pool_hits;
-    total.pool_misses = stats.replicas.front().pool_misses;
-    total.sparse_rows_touched = stats.replicas.front().sparse_rows_touched;
-    total.sparse_rows_total = stats.replicas.front().sparse_rows_total;
-    total.sparse_dense_fallbacks =
-        stats.replicas.front().sparse_dense_fallbacks;
-  }
   return stats;
 }
 

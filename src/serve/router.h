@@ -66,10 +66,8 @@ struct RouterStats {
   /// Cross-replica aggregate: request counts and cache traffic summed,
   /// percentiles recomputed over the merged latency rings, qps summed
   /// across concurrently active replicas, admission totals from the
-  /// controller. Pool/sparse counters are process-wide and copied once.
+  /// controller.
   EngineStats aggregate;
-  /// Per-replica engine stats, each with its own admission counters.
-  std::vector<EngineStats> replicas;
   /// Serving generation; `content_hash` below is always this generation's.
   uint64_t generation = 0;
   uint64_t reloads = 0;

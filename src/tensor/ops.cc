@@ -44,12 +44,12 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
 //
 // Inner loops dispatch through tensor/simd: simd::Active() resolves to
 // TrainKernels() while autograd records — the backend's [exact] entries
-// with the scalar [approximate] ones, unless vectorized training was opted
-// in — and to the fastest ISA under NoGradGuard. [exact] entries (the
-// elementwise ops, axpy and the sentence conv, forward and backward) give
-// the scalar bits on every backend; [approximate] ones keep per-shape
-// determinism but may reassociate reductions. See tensor/simd/dispatch.h
-// for the contract. The MatMul backward kernels below are plain loops.
+// with the scalar [approximate] ones — and to the fastest ISA under
+// NoGradGuard. [exact] entries (the elementwise ops, axpy and the sentence
+// conv, forward and backward) give the scalar bits on every backend;
+// [approximate] ones keep per-shape determinism but may reassociate
+// reductions. See tensor/simd/dispatch.h for the contract. The MatMul
+// backward kernels below are plain loops.
 
 // Work below this many multiply-adds is not worth a pool dispatch.
 constexpr int64_t kMatMulParallelFlops = 1 << 14;

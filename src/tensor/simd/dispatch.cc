@@ -14,7 +14,6 @@ namespace {
 // test/bench pins; read on every op entry — relaxed atomics keep the reads
 // free and TSan-clean. -1 means "no pin".
 std::atomic<int> g_pinned_backend{-1};
-std::atomic<bool> g_vectorized_training{false};
 
 constexpr int kBackendCount = 4;
 
@@ -171,12 +170,6 @@ struct Registry {
                                std::memory_order_relaxed);
       }
     }
-    if (const char* env = std::getenv("IMR_VECTORIZED_TRAINING")) {
-      const std::string value(env);
-      g_vectorized_training.store(value == "1" || value == "true" ||
-                                      value == "on",
-                                  std::memory_order_relaxed);
-    }
   }
 };
 
@@ -241,8 +234,6 @@ bool EvalBackendPinned() {
 const Kernels& EvalKernels() { return KernelsFor(ActiveEvalBackend()); }
 
 const Kernels& TrainKernels() {
-  if (g_vectorized_training.load(std::memory_order_relaxed))
-    return EvalKernels();
   const Backend backend = ActiveEvalBackend();
   IMR_CHECK(BackendSupported(backend));
   return GetRegistry().train_tables[static_cast<int>(backend)];
@@ -270,14 +261,6 @@ util::Status SetBackendByName(const std::string& name) {
   }
   g_pinned_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
   return util::OkStatus();
-}
-
-void SetVectorizedTraining(bool on) {
-  g_vectorized_training.store(on, std::memory_order_relaxed);
-}
-
-bool VectorizedTraining() {
-  return g_vectorized_training.load(std::memory_order_relaxed);
 }
 
 ScopedEvalBackend::ScopedEvalBackend(Backend backend)

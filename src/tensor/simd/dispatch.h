@@ -12,9 +12,7 @@
 //   * Dispatch rule: under NoGradGuard (eval, serving, snapshot replay)
 //     Active() returns the fastest (or pinned) table. While autograd
 //     records (GradModeEnabled()), Active() returns TrainKernels(): the
-//     same backend's EXACT entries with the scalar APPROXIMATE ones, unless
-//     vectorized training was opted in (`--imr_vectorized_training` /
-//     IMR_VECTORIZED_TRAINING=1), which hands training the whole table.
+//     same backend's EXACT entries with the scalar APPROXIMATE ones.
 //
 // Contract: the scalar table is the bit-identity reference — its kernels
 // are the exact loops the ops had before this backend existed. Every
@@ -32,8 +30,8 @@
 //     these.
 //   * [approximate] vector tables may reassociate reductions, use FMA and
 //     polynomial transcendentals; their error bounds are documented in
-//     vec_math.h and enforced by tests/simd_test.cc. Training uses the
-//     scalar version unless vectorized training was opted in.
+//     vec_math.h and enforced by tests/simd_test.cc. Training always uses
+//     the scalar version, so it keeps the scalar bits on every backend.
 //
 // Thread model: resolve Active()/EvalKernels() ONCE on the op-calling
 // thread and pass the table (by reference) into any ParallelFor body.
@@ -161,8 +159,7 @@ const Kernels& EvalKernels();
 /// Table used while autograd records: the [exact] entries of the
 /// EvalKernels() backend with the scalar [approximate] ones, so training
 /// runs vector code without moving a bit. Its `backend` names the backend
-/// whose exact entries it carries. With vectorized training opted in it is
-/// EvalKernels() itself.
+/// whose exact entries it carries.
 const Kernels& TrainKernels();
 
 /// The dispatch rule ops.cc uses: TrainKernels() when GradModeEnabled()
@@ -180,9 +177,6 @@ bool EvalBackendPinned();
 /// of "scalar", "sse2", "avx2", "neon". InvalidArgument on unknown names,
 /// FailedPrecondition when the host cannot run the requested backend.
 [[nodiscard]] util::Status SetBackendByName(const std::string& name);
-
-void SetVectorizedTraining(bool on);
-bool VectorizedTraining();
 
 /// RAII pin of the eval backend (tests, benchmark A/B loops).
 class ScopedEvalBackend {

@@ -288,10 +288,6 @@ TEST(BufferPoolTest, ZeroMissCachedServePredict) {
       << "buffer_misses=" << stats.buffer_misses
       << " node_misses=" << stats.node_misses;
   EXPECT_GT(stats.total_hits(), 0u);
-
-  // The engine surfaces the same counters through Stats().
-  serve::EngineStats engine_stats = engine->Stats();
-  EXPECT_EQ(engine_stats.pool_misses, stats.total_misses());
   std::remove(path.c_str());
   util::SetGlobalThreads(saved_threads);
 }

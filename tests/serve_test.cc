@@ -23,6 +23,7 @@
 #include "graph/proximity_graph.h"
 #include "nn/module.h"
 #include "re/bag_dataset.h"
+#include "re/knn_predictor.h"
 #include "re/pa_model.h"
 #include "re/trainer.h"
 #include "serve/admission.h"
@@ -33,6 +34,7 @@
 #include "serve/sharded_cache.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_watcher.h"
+#include "serve_setup.h"
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -117,6 +119,31 @@ struct ServeFixture {
                                   /*trained_steps=*/9, "serve_test_b",
                                   snapshot_b_path, &quantized_b)
                   .ok());
+
+    // A and B again, each with an ANNI section, for the kNN hot-swap test.
+    // The wide confidence gate makes the vote fire on most queries, so the
+    // ANN search serves while generations flip.
+    re::KnnOptions knn_options;
+    knn_options.confidence_gate = 0.95f;
+    knn_options.min_pairs_for_ivf = 64;
+    const re::KnnPredictor knn_a =
+        re::KnnPredictor::Build(embeddings, bags->train_bags(),
+                                bags->num_relations(), knn_options, nullptr);
+    const re::KnnPredictor knn_b =
+        re::KnnPredictor::Build(embeddings_b, bags->train_bags(),
+                                bags->num_relations(), knn_options, nullptr);
+    snapshot_knn_path = testing::TempDir() + "/imr_serve_test_knn.imrs";
+    IMR_CHECK(serve::SaveSnapshot(*model, bags->vocabulary(), embeddings,
+                                  dataset->world.graph, bag_options,
+                                  /*trained_steps=*/8, "serve_test_knn",
+                                  snapshot_knn_path, nullptr, &knn_a)
+                  .ok());
+    snapshot_knn_b_path = testing::TempDir() + "/imr_serve_test_knn_b.imrs";
+    IMR_CHECK(serve::SaveSnapshot(*model, bags->vocabulary(), embeddings_b,
+                                  dataset->world.graph, bag_options,
+                                  /*trained_steps=*/9, "serve_test_knn_b",
+                                  snapshot_knn_b_path, nullptr, &knn_b)
+                  .ok());
   }
 
   /// Sentences of the held-out corpus mentioning the bag's entity pair.
@@ -157,6 +184,8 @@ struct ServeFixture {
   std::unique_ptr<re::PaModel> model;
   std::string snapshot_path;
   std::string snapshot_b_path;
+  std::string snapshot_knn_path;
+  std::string snapshot_knn_b_path;
 };
 
 ServeFixture& Shared() {
@@ -571,10 +600,45 @@ TEST(QuantizedEngineTest, QuantizedServingAgreesWithFp32) {
     ASSERT_FALSE(approx->top.empty());
     if (exact->top[0].relation == approx->top[0].relation) ++top1_agreements;
   }
-  // The bench_serve gate demands >= 99.5% agreement over a replay; on this
-  // small sample demand exact agreement and a tight score delta.
+  // On this small sample demand exact agreement and a tight score delta.
   EXPECT_EQ(top1_agreements, static_cast<int>(queries.size()));
   EXPECT_LT(max_delta, 0.05f);
+
+  // Over a replay of bench_serve's full-run pipeline (NYT preset, 53
+  // relations, LINE on one thread): >= 99.5% top-1 agreement and every
+  // probability within 0.05 of fp32.
+  const std::unique_ptr<bench::ServeSetup> nyt =
+      bench::MakeServeSetup(/*smoke=*/false);
+  const std::string nyt_path = testing::TempDir() + "/imr_serve_test_nyt.imrs";
+  ASSERT_TRUE(nyt->Save(nyt_path).ok());
+  auto nyt_fp32 = serve::InferenceEngine::Open(nyt_path);
+  auto nyt_quantized = serve::InferenceEngine::Open(nyt_path, options);
+  ASSERT_TRUE(nyt_fp32.ok()) << nyt_fp32.status().ToString();
+  ASSERT_TRUE(nyt_quantized.ok()) << nyt_quantized.status().ToString();
+  std::remove(nyt_path.c_str());
+  size_t nyt_agreements = 0;
+  float nyt_max_delta = 0.0f;
+  for (const serve::Query& query : nyt->requests) {
+    auto exact = (*nyt_fp32)->Predict(query);
+    auto approx = (*nyt_quantized)->Predict(query);
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+    ASSERT_EQ(approx->probabilities.size(), exact->probabilities.size());
+    for (size_t r = 0; r < exact->probabilities.size(); ++r) {
+      nyt_max_delta = std::max(nyt_max_delta,
+                               std::fabs(approx->probabilities[r] -
+                                         exact->probabilities[r]));
+    }
+    ASSERT_FALSE(exact->top.empty() || approx->top.empty());
+    if (exact->top[0].relation == approx->top[0].relation) ++nyt_agreements;
+  }
+  ASSERT_EQ(nyt->requests.size(), 768u);
+  const double agreement = static_cast<double>(nyt_agreements) /
+                           static_cast<double>(nyt->requests.size());
+  RecordProperty("nyt_top1_agreement", std::to_string(agreement));
+  RecordProperty("nyt_max_abs_prob_delta", std::to_string(nyt_max_delta));
+  EXPECT_GE(agreement, 0.995);
+  EXPECT_LE(nyt_max_delta, 0.05f);
 }
 
 // ---- sharded cache ---------------------------------------------------------
@@ -790,12 +854,6 @@ TEST(RouterTest, MatchesBareEngineBitExactly) {
   EXPECT_GT(stats.aggregate.qps, 0.0);
   EXPECT_GT(stats.aggregate.p99_latency_us, 0.0);
   EXPECT_EQ(stats.generation, 1u);
-  ASSERT_EQ(stats.replicas.size(), 2u);
-  EXPECT_EQ(stats.replicas[0].requests + stats.replicas[1].requests,
-            stream.size());
-  // Both replicas actually served traffic (least-depth spread).
-  EXPECT_GT(stats.replicas[0].requests, 0u);
-  EXPECT_GT(stats.replicas[1].requests, 0u);
 }
 
 TEST(RouterTest, SyncAsyncAndInvalidQueriesFlowThrough) {
@@ -936,9 +994,13 @@ TEST(HotSwapTest, RejectsIncompatibleGeneration) {
 /// the main thread flips generations A<->B. Every response must succeed
 /// and be bit-consistent with exactly one generation — the one stamped in
 /// Prediction::generation — and every Stats() poll must report the content
-/// hash of the generation it names. Runs under TSan in the sanitizer tree.
-void HotSwapUnderFire(bool quantized) {
+/// hash of the generation it names. With `knn` both generations carry an
+/// ANNI section and the kNN vote must have fired under fire. Runs under
+/// TSan in the sanitizer tree.
+void HotSwapUnderFire(bool quantized, bool knn) {
   ServeFixture& f = Shared();
+  const std::string& path_a = knn ? f.snapshot_knn_path : f.snapshot_path;
+  const std::string& path_b = knn ? f.snapshot_knn_b_path : f.snapshot_b_path;
   serve::RouterOptions options;
   options.replicas = 2;
   options.workers_per_replica = 2;
@@ -946,17 +1008,15 @@ void HotSwapUnderFire(bool quantized) {
   options.engine.quantized = quantized;
   options.admission.max_queue = 0;   // nothing rejected:
   options.admission.deadline_us = 0; // the gate is ZERO failed requests
-  auto router = serve::ServeRouter::Open(f.snapshot_path, options);
+  auto router = serve::ServeRouter::Open(path_a, options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
 
   // Reference predictions per generation, computed single-threaded on bare
   // engines. Odd generations serve snapshot A, even ones snapshot B.
   serve::EngineOptions reference_options;
   reference_options.quantized = quantized;
-  auto engine_a =
-      serve::InferenceEngine::Open(f.snapshot_path, reference_options);
-  auto engine_b =
-      serve::InferenceEngine::Open(f.snapshot_b_path, reference_options);
+  auto engine_a = serve::InferenceEngine::Open(path_a, reference_options);
+  auto engine_b = serve::InferenceEngine::Open(path_b, reference_options);
   ASSERT_TRUE(engine_a.ok());
   ASSERT_TRUE(engine_b.ok());
   const std::vector<serve::Query> queries = f.SampleQueries(6);
@@ -1043,9 +1103,7 @@ void HotSwapUnderFire(bool quantized) {
   constexpr int kReloads = 6;
   for (int flip = 0; flip < kReloads; ++flip) {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    const std::string& next =
-        flip % 2 == 0 ? f.snapshot_b_path : f.snapshot_path;
-    ASSERT_TRUE((*router)->Reload(next).ok());
+    ASSERT_TRUE((*router)->Reload(flip % 2 == 0 ? path_b : path_a).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   stop.store(true);
@@ -1055,6 +1113,9 @@ void HotSwapUnderFire(bool quantized) {
   EXPECT_GT(stats_polls.load(), 0u);
   EXPECT_EQ(mismatched_stats.load(), 0u);
   EXPECT_EQ((*router)->generation(), static_cast<uint64_t>(kReloads + 1));
+  if (knn) {
+    EXPECT_GT((*router)->Stats().aggregate.knn_fired, 0u);
+  }
   util::MutexLock lock(observed_mutex);
   ASSERT_GT(observed.size(), 0u);
   uint64_t max_generation = 0;
@@ -1074,13 +1135,20 @@ void HotSwapUnderFire(bool quantized) {
 }
 
 TEST(HotSwapTest, ServesConsistentGenerationsUnderFire) {
-  HotSwapUnderFire(/*quantized=*/false);
+  HotSwapUnderFire(/*quantized=*/false, /*knn=*/false);
 }
 
 TEST(HotSwapTest, ServesConsistentQuantizedGenerationsUnderFire) {
   // Generation B's int8 store comes from the file's QEMB section,
   // generation A's is built at load: the swap flips between them.
-  HotSwapUnderFire(/*quantized=*/true);
+  HotSwapUnderFire(/*quantized=*/true, /*knn=*/false);
+}
+
+TEST(HotSwapTest, ServesConsistentKnnGenerationsUnderFire) {
+  // Each generation blends in its own index's neighbors: a response that
+  // paired one generation's MR vectors with the other's index would match
+  // neither reference.
+  HotSwapUnderFire(/*quantized=*/false, /*knn=*/true);
 }
 
 // ---- snapshot watcher ------------------------------------------------------
@@ -1864,10 +1932,12 @@ TEST(SnapshotWatcherTest, ConsumesFailedDeltasWithoutRetryStorm) {
 
 TEST(MmapLifetimeTest, UnlinkedBaseServesBitExactThroughDeltaSwap) {
   // The base snapshot file is DELETED mid-traffic while borrowed views are
-  // live, then a delta generation is published (CoW clone of the unlinked
-  // mapping) and the delta file is deleted too. Every response must carry
+  // live, then a chain of delta generations is published (each a CoW clone
+  // of the previous mapping, the first of the unlinked base's), and each
+  // delta file is deleted as soon as it applies. Every response must carry
   // an in-range generation stamp and bit-match that generation's
-  // reference — the mapping outlives the directory entry.
+  // reference — the mappings outlive their directory entries — and every
+  // apply must count as a delta reload.
   ServeFixture& f = Shared();
   const std::string dir = MakeWatchDir("imr_mmap_lifetime");
   const std::string base_path = dir + "/base.imrs";
@@ -1879,41 +1949,51 @@ TEST(MmapLifetimeTest, UnlinkedBaseServesBitExactThroughDeltaSwap) {
   auto router = serve::ServeRouter::Open(base_path, options);
   ASSERT_TRUE(router.ok());
 
+  // Generation g + 1 is generation g with the queried head rows moved
+  // again; each delta chains on the previous generation's content hash.
+  constexpr int kDeltas = 3;
   const std::vector<serve::Query> queries = f.SampleQueries(4);
   std::vector<int> rows;
   for (const serve::Query& query : queries)
     rows.push_back(static_cast<int>(query.head));
-  const graph::EmbeddingStore patched = PerturbRows(f.embeddings, rows);
-  const std::string delta_path = dir + "/step.imrd";
-  auto result_hash = [&] {
+  std::vector<graph::EmbeddingStore> tables;
+  tables.push_back(f.embeddings);
+  std::vector<std::string> delta_paths;
+  uint64_t chain_hash = (*router)->content_hash();
+  for (int d = 0; d < kDeltas; ++d) {
+    tables.push_back(PerturbRows(tables.back(), rows));
+    delta_paths.push_back(dir + "/step" + std::to_string(d) + ".imrd");
     serve::DeltaSpec spec;
     spec.touched_rows = rows;
-    return serve::SaveDelta((*router)->content_hash(), patched, nullptr,
-                            spec, delta_path);
-  }();
-  ASSERT_TRUE(result_hash.ok());
-
-  // Per-generation references, from in-memory state (no files needed).
-  auto engine_a = serve::InferenceEngine::Open(f.snapshot_path);
-  ASSERT_TRUE(engine_a.ok());
-  const std::string ref_path = dir + "/ref.imrs";
-  ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(), patched,
-                                  f.dataset->world.graph, f.bag_options, 9,
-                                  "ref", ref_path)
-                  .ok());
-  auto engine_b = serve::InferenceEngine::Open(ref_path);
-  ASSERT_TRUE(engine_b.ok());
-  std::vector<std::vector<float>> expected_a, expected_b;
-  for (const serve::Query& query : queries) {
-    auto a = (*engine_a)->Predict(query);
-    auto b = (*engine_b)->Predict(query);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_NE(a->probabilities, b->probabilities);
-    expected_a.push_back(a->probabilities);
-    expected_b.push_back(b->probabilities);
+    auto result_hash = serve::SaveDelta(chain_hash, tables.back(), nullptr,
+                                        spec, delta_paths.back());
+    ASSERT_TRUE(result_hash.ok());
+    chain_hash = *result_hash;
   }
-  std::remove(ref_path.c_str());
+
+  // Per-generation references (expected[g - 1] for generation g), from
+  // full snapshots of the same tables.
+  std::vector<std::vector<std::vector<float>>> expected;
+  const std::string ref_path = dir + "/ref.imrs";
+  for (const graph::EmbeddingStore& table : tables) {
+    ASSERT_TRUE(serve::SaveSnapshot(*f.model, f.bags->vocabulary(), table,
+                                    f.dataset->world.graph, f.bag_options, 9,
+                                    "ref", ref_path)
+                    .ok());
+    auto engine = serve::InferenceEngine::Open(ref_path);
+    ASSERT_TRUE(engine.ok());
+    expected.emplace_back();
+    for (const serve::Query& query : queries) {
+      auto result = (*engine)->Predict(query);
+      ASSERT_TRUE(result.ok());
+      expected.back().push_back(result->probabilities);
+    }
+    std::remove(ref_path.c_str());
+  }
+  for (size_t g = 1; g < expected.size(); ++g) {
+    for (size_t q = 0; q < queries.size(); ++q)
+      ASSERT_NE(expected[g][q], expected[g - 1][q]);
+  }
 
   struct Observed {
     size_t query = 0;
@@ -1945,32 +2025,37 @@ TEST(MmapLifetimeTest, UnlinkedBaseServesBitExactThroughDeltaSwap) {
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   // Unlink the base snapshot out from under the live mapping...
   ASSERT_EQ(std::remove(base_path.c_str()), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  // ...publish the delta generation (CoW over the unlinked mapping)...
-  ASSERT_TRUE((*router)->ReloadDelta(delta_path).ok());
-  // ...and delete the delta file as well: serving owes nothing to disk.
-  ASSERT_EQ(std::remove(delta_path.c_str()), 0);
+  for (const std::string& delta_path : delta_paths) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    // ...publish the next delta generation (CoW over the previous one)...
+    ASSERT_TRUE((*router)->ReloadDelta(delta_path).ok());
+    // ...and delete the delta file as well: serving owes nothing to disk.
+    ASSERT_EQ(std::remove(delta_path.c_str()), 0);
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   stop.store(true);
   for (std::thread& t : traffic) t.join();
 
+  constexpr uint64_t kLastGeneration = kDeltas + 1;
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ((*router)->generation(), 2u);
-  EXPECT_EQ((*router)->content_hash(), *result_hash);
+  EXPECT_EQ((*router)->generation(), kLastGeneration);
+  EXPECT_EQ((*router)->content_hash(), chain_hash);
+  const serve::RouterStats stats = (*router)->Stats();
+  EXPECT_EQ(stats.reloads, static_cast<uint64_t>(kDeltas));
+  EXPECT_EQ(stats.delta_reloads, static_cast<uint64_t>(kDeltas));
   util::MutexLock lock(observed_mutex);
   ASSERT_GT(observed.size(), 0u);
   uint64_t max_generation = 0;
   for (const Observed& response : observed) {
     ASSERT_GE(response.generation, 1u);
-    ASSERT_LE(response.generation, 2u);
-    const std::vector<std::vector<float>>& expected =
-        response.generation == 1 ? expected_a : expected_b;
-    ASSERT_EQ(response.probabilities, expected[response.query])
+    ASSERT_LE(response.generation, kLastGeneration);
+    ASSERT_EQ(response.probabilities,
+              expected[response.generation - 1][response.query])
         << "generation " << response.generation << " query "
         << response.query;
     max_generation = std::max(max_generation, response.generation);
   }
-  EXPECT_EQ(max_generation, 2u);  // traffic actually crossed the swap
+  EXPECT_EQ(max_generation, kLastGeneration);  // traffic reached the last
 }
 
 TEST(QuantizedEngineTest, QuantizedServingIsDeterministic) {

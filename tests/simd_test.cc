@@ -62,20 +62,6 @@ size_t BitMismatches(const std::vector<float>& a, const std::vector<float>& b) {
   return mismatches;
 }
 
-// Saves the process-global training-vectorization switch so tests can
-// force the documented default (scalar training) and put the user's
-// environment back afterwards.
-class ScopedScalarTraining {
- public:
-  ScopedScalarTraining() : previous_(simd::VectorizedTraining()) {
-    simd::SetVectorizedTraining(false);
-  }
-  ~ScopedScalarTraining() { simd::SetVectorizedTraining(previous_); }
-
- private:
-  bool previous_;
-};
-
 TEST(SimdDispatchTest, ScalarAlwaysSupportedAndBestIsSupported) {
   EXPECT_TRUE(simd::BackendSupported(simd::Backend::kScalar));
   EXPECT_TRUE(simd::BackendSupported(simd::DetectBestBackend()));
@@ -136,7 +122,6 @@ void ExpectExactOverScalar(const simd::Kernels& train,
 }
 
 TEST(SimdDispatchTest, TrainKernelsTakeOnlyExactEntriesByDefault) {
-  ScopedScalarTraining scalar_training;
   ExpectExactOverScalar(simd::TrainKernels(), simd::EvalKernels());
   // GradModeEnabled() is the process default, so Active() == TrainKernels.
   EXPECT_EQ(&simd::Active(), &simd::TrainKernels());
@@ -166,15 +151,6 @@ TEST(SimdDispatchTest, ScopedPinOverridesAndRestores) {
   }
   EXPECT_EQ(simd::EvalBackendPinned(), was_pinned);
   EXPECT_EQ(simd::ActiveEvalBackend(), before);
-}
-
-TEST(SimdDispatchTest, VectorizedTrainingOptInLiftsTrainKernels) {
-  ScopedScalarTraining scalar_training;
-  simd::SetVectorizedTraining(true);
-  EXPECT_EQ(simd::TrainKernels().backend, simd::ActiveEvalBackend());
-  EXPECT_EQ(&simd::TrainKernels(), &simd::EvalKernels());
-  simd::SetVectorizedTraining(false);
-  ExpectExactOverScalar(simd::TrainKernels(), simd::EvalKernels());
 }
 
 TEST(SimdDispatchTest, SetBackendByNameValidatesInput) {
@@ -494,7 +470,6 @@ TEST(SimdExactnessTest, GemmS8S32BitIdenticalOnEveryBackend) {
 // ---- dispatch through the tensor ops --------------------------------------
 
 TEST(SimdOpsTest, TrainingModeTanhStaysBitIdenticalToStdTanh) {
-  ScopedScalarTraining scalar_training;
   // Grad mode is on by default, so this goes through TrainKernels() ==
   // scalar even when the eval backend is pinned to a vector ISA.
   simd::ScopedEvalBackend pin(simd::DetectBestBackend());
@@ -511,7 +486,6 @@ TEST(SimdOpsTest, TrainingModeTanhStaysBitIdenticalToStdTanh) {
 // against the scalar pin. The output gradient is a mask of mostly zeros,
 // some -0.0f, the way a piecewise max pool leaves it.
 TEST(SimdOpsTest, ConvForwardAndBackwardBitIdenticalOnEveryBackend) {
-  ScopedScalarTraining scalar_training;
   struct Result {
     std::vector<float> out, eval_out, gx, gw, gb;
   };
