@@ -25,7 +25,10 @@
 // steady-state pool misses and pooled bytes per step, twice: on one batch
 // of 32 bags that share one bag's sentences, so every chunk has the same
 // working set, and on 96 distinct training bags reshuffled every epoch,
-// where a thread's working set changes from batch to batch.
+// where a thread's working set changes from batch to batch. It also runs
+// the equal-shape batch through the sequential step (one thread). Each run
+// records its graph-node and float-buffer acquisitions per batch (report
+// only).
 //
 // Modes:
 //   bench_kernels            full sizes, writes BENCH_kernels.json,
@@ -264,10 +267,12 @@ struct Report {
   std::vector<SparseRow> sparse_steps;
   // Conv A/B, one row per (vector backend, shape).
   std::vector<ConvRow> conv;
-  // The warmed-up data-parallel PA-TMR step on equal-shape bags (the gate)
-  // and on distinct bags (reported).
+  // The warmed-up data-parallel PA-TMR step on equal-shape bags (the gate),
+  // and, reported only, on distinct bags and sequentially on equal-shape
+  // bags.
   bench::PaStepResult pa_step;
   bench::PaStepResult pa_step_distinct;
+  bench::PaStepResult pa_step_sequential;
 };
 
 // The same representative model the buffer-pool tests train: embedding
@@ -286,20 +291,25 @@ struct StepModel : nn::Module {
   nn::Linear out;
 };
 
-// Both PA-TMR step runs on four global threads: the equal-shape batch
-// (one batch per epoch; three warm-up epochs, five measured) and 96
-// distinct training bags (three batches per epoch; ten warm-up epochs, as
-// the threads' working sets keep growing for a while, five measured).
+// The data-parallel PA-TMR step runs on four global threads: the
+// equal-shape batch (one batch per epoch; three warm-up epochs, five
+// measured) and 96 distinct training bags (three batches per epoch; ten
+// warm-up epochs, as the threads' working sets keep growing for a while,
+// five measured). The sequential step runs the equal-shape batch on one.
 void RunPaModelSteps(bool smoke, Report* report) {
+  constexpr int kDataParallelThreads = 4;
   const std::unique_ptr<bench::PaStepSetup> setup =
       bench::MakePaStepSetup(smoke ? 0.3 : 0.5);
-  report->pa_step = bench::RunDataParallelPaStep(
-      *setup, setup->same_shape_batch, /*warmup_epochs=*/3);
+  report->pa_step =
+      bench::RunPaStep(*setup, setup->same_shape_batch, /*warmup_epochs=*/3,
+                       kDataParallelThreads);
   const std::vector<re::Bag>& train = setup->bags.train_bags();
   IMR_CHECK_GE(train.size(), 96u);
   const std::vector<re::Bag> distinct(train.begin(), train.begin() + 96);
-  report->pa_step_distinct =
-      bench::RunDataParallelPaStep(*setup, distinct, /*warmup_epochs=*/10);
+  report->pa_step_distinct = bench::RunPaStep(
+      *setup, distinct, /*warmup_epochs=*/10, kDataParallelThreads);
+  report->pa_step_sequential = bench::RunPaStep(
+      *setup, setup->same_shape_batch, /*warmup_epochs=*/3, /*threads=*/1);
 }
 
 Report RunAll(bool smoke) {
@@ -659,20 +669,19 @@ void PrintReport(const Report& r) {
     }
   }
   auto print_pa = [](const char* name, const bench::PaStepResult& pa) {
-    std::printf("pa-tmr data-parallel step, %s (%d threads): %.2f "
-                "ms/epoch, %llu misses (%.2f per batch) and %lld bytes of "
-                "pooled growth over %d batches (%.1f acquires/batch)\n",
+    std::printf("pa-tmr step, %s (%d threads): %.2f ms/epoch, %llu misses "
+                "(%.2f per batch) and %lld bytes of pooled growth over %d "
+                "batches (%.1f nodes and %.1f buffers acquired per batch)\n",
                 name, pa.threads, pa.ms_per_epoch,
                 static_cast<unsigned long long>(pa.misses),
                 pa.misses_per_batch(),
                 static_cast<long long>(pa.pooled_growth()), pa.batches,
-                pa.batches > 0
-                    ? static_cast<double>(pa.acquires) / pa.batches
-                    : 0.0);
+                pa.nodes_per_batch(), pa.buffers_per_batch());
   };
   std::printf("\n");
-  print_pa("equal-shape bags", r.pa_step);
-  print_pa("distinct bags", r.pa_step_distinct);
+  print_pa("data-parallel, equal-shape bags", r.pa_step);
+  print_pa("data-parallel, distinct bags", r.pa_step_distinct);
+  print_pa("sequential, equal-shape bags", r.pa_step_sequential);
   for (const SparseRow& s : r.sparse_steps) {
     std::printf("embed step  vocab=%-7d sparse %12.0f ns/step (%.2fx vs "
                 "dense %12.0f ns/step), touched %llu/%llu rows over 5 "
@@ -809,16 +818,19 @@ bool WriteConvJson(const Report& r, const std::string& path) {
                  "  \"%s\": {\"threads\": %d, \"batches\": %d, "
                  "\"ms_per_epoch\": %.3f, \"misses\": %llu, "
                  "\"misses_per_batch\": %.3f, \"acquires\": %llu, "
+                 "\"nodes_per_batch\": %.1f, \"buffers_per_batch\": %.1f, "
                  "\"pooled_growth_bytes\": %lld}%s\n",
                  name, pa.threads, pa.batches, pa.ms_per_epoch,
                  static_cast<unsigned long long>(pa.misses),
                  pa.misses_per_batch(),
                  static_cast<unsigned long long>(pa.acquires),
+                 pa.nodes_per_batch(), pa.buffers_per_batch(),
                  static_cast<long long>(pa.pooled_growth()), suffix);
   };
   std::fprintf(out, "  ],\n");
   write_pa("pa_tmr_data_parallel_step", r.pa_step, ",");
-  write_pa("pa_tmr_data_parallel_distinct_bags", r.pa_step_distinct, "");
+  write_pa("pa_tmr_data_parallel_distinct_bags", r.pa_step_distinct, ",");
+  write_pa("pa_tmr_sequential_step", r.pa_step_sequential, "");
   std::fprintf(out, "}\n");
   std::fclose(out);
   return true;

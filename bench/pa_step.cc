@@ -18,7 +18,6 @@ namespace imr::bench {
 namespace {
 
 constexpr int kBatchSize = 32;
-constexpr int kThreads = 4;
 constexpr int kMeasuredEpochs = 5;
 
 }  // namespace
@@ -84,12 +83,21 @@ double PaStepResult::misses_per_batch() const {
   return batches > 0 ? static_cast<double>(misses) / batches : 0.0;
 }
 
-PaStepResult RunDataParallelPaStep(const PaStepSetup& setup,
-                                   const std::vector<re::Bag>& bags,
-                                   int warmup_epochs) {
-  IMR_CHECK_GE(bags.size(), static_cast<size_t>(2 * kThreads));
+double PaStepResult::nodes_per_batch() const {
+  return batches > 0 ? static_cast<double>(node_acquires) / batches : 0.0;
+}
+
+double PaStepResult::buffers_per_batch() const {
+  return batches > 0 ? static_cast<double>(buffer_acquires) / batches : 0.0;
+}
+
+PaStepResult RunPaStep(const PaStepSetup& setup,
+                       const std::vector<re::Bag>& bags, int warmup_epochs,
+                       int threads) {
+  IMR_CHECK_GE(threads, 1);
+  IMR_CHECK_GE(bags.size(), static_cast<size_t>(2 * threads));
   const int saved_threads = util::GlobalThreads();
-  util::SetGlobalThreads(kThreads);
+  util::SetGlobalThreads(threads);
   util::Rng init(3);
   re::PaModel model(setup.config, &init);
   model.SetTraining(true);
@@ -115,10 +123,10 @@ PaStepResult RunDataParallelPaStep(const PaStepSetup& setup,
   config.batch_size = kBatchSize;
   config.optimizer = "adam";
   config.learning_rate = 0.01f;
-  config.threads = kThreads;
+  config.threads = threads;
   re::Trainer trainer(&model, config);
   PaStepResult result;
-  result.threads = kThreads;
+  result.threads = threads;
   const int batches_per_epoch =
       static_cast<int>((bags.size() + kBatchSize - 1) / kBatchSize);
   std::vector<double> epoch_ms;
@@ -132,6 +140,8 @@ PaStepResult RunDataParallelPaStep(const PaStepSetup& setup,
       result.batches += batches_per_epoch;
       result.misses = pool.total_misses();
       result.acquires = pool.total_hits() + pool.total_misses();
+      result.node_acquires = pool.node_hits + pool.node_misses;
+      result.buffer_acquires = pool.buffer_hits + pool.buffer_misses;
       result.pooled_after.push_back(pool.pooled_bytes);
       epoch_ms.push_back(epoch.seconds * 1e3);
     }

@@ -3,11 +3,22 @@
 #include <algorithm>
 
 #include "nn/init.h"
+#include "tensor/buffer_pool.h"
 #include "util/logging.h"
 
 namespace imr::nn {
 
 using tensor::Tensor;
+using tensor::internal::AcquireBuffer;
+
+Tensor SentenceEncoder::EncodeBatch(std::span<const EncoderInput* const> inputs,
+                                    util::Rng* rng) const {
+  IMR_CHECK(!inputs.empty());
+  std::vector<Tensor> rows;
+  rows.reserve(inputs.size());
+  for (const EncoderInput* input : inputs) rows.push_back(Encode(*input, rng));
+  return tensor::ConcatRows(rows);
+}
 
 FeatureEmbedder::FeatureEmbedder(const EncoderConfig& config,
                                  util::Rng* rng)
@@ -29,18 +40,35 @@ int FeatureEmbedder::feature_dim() const {
   return word_->dim() + pos_head_->dim() + pos_tail_->dim();
 }
 
-Tensor FeatureEmbedder::Embed(const EncoderInput& input,
-                              util::Rng* rng) const {
+namespace {
+
+void CheckInput(const EncoderInput& input) {
   IMR_CHECK(!input.word_ids.empty());
   IMR_CHECK_EQ(input.word_ids.size(), input.head_offsets.size());
   IMR_CHECK_EQ(input.word_ids.size(), input.tail_offsets.size());
+}
+
+}  // namespace
+
+void FeatureEmbedder::AppendWordIds(const EncoderInput& input, util::Rng* rng,
+                                    std::vector<int>* ids) const {
+  const size_t start = ids->size();
+  ids->insert(ids->end(), input.word_ids.begin(), input.word_ids.end());
+  if (training() && word_dropout_ > 0.0f && rng != nullptr) {
+    // <unk> has id 1 in every vocabulary built by text::Vocabulary.
+    for (size_t i = start; i < ids->size(); ++i) {
+      if (rng->Bernoulli(word_dropout_)) (*ids)[i] = 1;
+    }
+  }
+}
+
+Tensor FeatureEmbedder::Embed(const EncoderInput& input,
+                              util::Rng* rng) const {
+  CheckInput(input);
   Tensor words;
   if (training() && word_dropout_ > 0.0f && rng != nullptr) {
-    std::vector<int> dropped = input.word_ids;
-    // <unk> has id 1 in every vocabulary built by text::Vocabulary.
-    for (int& id : dropped) {
-      if (rng->Bernoulli(word_dropout_)) id = 1;
-    }
+    std::vector<int> dropped;
+    AppendWordIds(input, rng, &dropped);
     words = word_->Forward(dropped);
   } else {
     words = word_->Forward(input.word_ids);
@@ -48,6 +76,16 @@ Tensor FeatureEmbedder::Embed(const EncoderInput& input,
   Tensor ph = pos_head_->Forward(input.head_offsets);
   Tensor pt = pos_tail_->Forward(input.tail_offsets);
   return tensor::ConcatCols({words, ph, pt});  // [T x (kw + 2*kp)]
+}
+
+Tensor FeatureEmbedder::EmbedSegments(const std::vector<int>& word_ids,
+                                      const std::vector<int>& head_offsets,
+                                      const std::vector<int>& tail_offsets,
+                                      const std::vector<int>& offsets) const {
+  Tensor words = tensor::GatherRows(word_->table(), word_ids, offsets);
+  Tensor ph = tensor::GatherRows(pos_head_->table(), head_offsets, offsets);
+  Tensor pt = tensor::GatherRows(pos_tail_->table(), tail_offsets, offsets);
+  return tensor::ConcatCols({words, ph, pt});
 }
 
 namespace {
@@ -86,6 +124,73 @@ Tensor PcnnEncoder::Encode(const EncoderInput& input, util::Rng* rng) const {
   Tensor pooled = tensor::PiecewiseMaxOverRows(conv, b1, b2);
   Tensor activated = tensor::Tanh(pooled);
   return tensor::Dropout(activated, config_.dropout, rng, training());
+}
+
+namespace {
+
+// EncodeBatch's token, offset and piece-bound lists. Kept per thread and
+// reused, so a steady-state batch (or served bag) does not allocate them.
+struct PcnnBatchScratch {
+  std::vector<int> word_ids;
+  std::vector<int> head_offsets;
+  std::vector<int> tail_offsets;
+  std::vector<int> offsets;
+  std::vector<int> splits;
+};
+
+PcnnBatchScratch& ThreadPcnnBatchScratch() {
+  thread_local PcnnBatchScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+Tensor PcnnEncoder::EncodeBatch(std::span<const EncoderInput* const> inputs,
+                                util::Rng* rng) const {
+  IMR_CHECK(!inputs.empty());
+  PcnnBatchScratch& batch = ThreadPcnnBatchScratch();
+  batch.word_ids.clear();
+  batch.head_offsets.clear();
+  batch.tail_offsets.clear();
+  batch.offsets.assign(1, 0);
+  batch.splits.clear();
+  const bool dropout = training() && config_.dropout > 0.0f;
+  const size_t out_dim = static_cast<size_t>(output_dim());
+  // Empty (and taken from no pool bucket) when dropout is off.
+  std::vector<float> mask =
+      AcquireBuffer(dropout ? inputs.size() * out_dim : 0);
+  for (size_t s = 0; s < inputs.size(); ++s) {
+    const EncoderInput& input = *inputs[s];
+    CheckInput(input);
+    // Encode draws a sentence's word-dropout ids, then its dropout mask.
+    embedder_->AppendWordIds(input, rng, &batch.word_ids);
+    if (dropout) {
+      tensor::DrawDropoutMask(config_.dropout, rng, mask.data() + s * out_dim,
+                              out_dim);
+    }
+    batch.head_offsets.insert(batch.head_offsets.end(),
+                              input.head_offsets.begin(),
+                              input.head_offsets.end());
+    batch.tail_offsets.insert(batch.tail_offsets.end(),
+                              input.tail_offsets.begin(),
+                              input.tail_offsets.end());
+    const int time = static_cast<int>(input.word_ids.size());
+    int b1 = 0, b2 = 0;
+    SegmentBounds(input, time, &b1, &b2);
+    batch.splits.push_back(b1);
+    batch.splits.push_back(b2);
+    batch.offsets.push_back(batch.offsets.back() + time);
+  }
+  Tensor features =
+      embedder_->EmbedSegments(batch.word_ids, batch.head_offsets,
+                               batch.tail_offsets, batch.offsets);
+  Tensor conv = tensor::Conv1dSame(features, conv_weight_, conv_bias_,
+                                   config_.window, batch.offsets);
+  Tensor pooled =
+      tensor::PiecewiseMaxOverRows(conv, batch.offsets, batch.splits);
+  Tensor activated = tensor::Tanh(pooled);
+  if (!dropout) return activated;
+  return tensor::Dropout(activated, std::move(mask));
 }
 
 CnnEncoder::CnnEncoder(const EncoderConfig& config, util::Rng* rng)

@@ -7,6 +7,7 @@
 #define IMR_NN_ENCODERS_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
@@ -49,6 +50,14 @@ class SentenceEncoder : public Module {
   virtual tensor::Tensor Encode(const EncoderInput& input,
                                 util::Rng* rng) const = 0;
 
+  /// Encodes a batch of sentences into [S x output_dim()]. Row s equals
+  /// Encode(*inputs[s], rng) bit for bit, forward and backward, with the
+  /// rng drawn in the same order as calling Encode on each input in turn.
+  /// The default does exactly that and stacks the rows with ConcatRows;
+  /// PCNN overrides it with one op per layer over the whole batch.
+  virtual tensor::Tensor EncodeBatch(
+      std::span<const EncoderInput* const> inputs, util::Rng* rng) const;
+
   /// Dimension of the encoded vector.
   virtual int output_dim() const = 0;
 };
@@ -61,6 +70,19 @@ class FeatureEmbedder : public Module {
   /// `rng` is only used for word dropout while training() is true (pass
   /// nullptr to disable).
   tensor::Tensor Embed(const EncoderInput& input, util::Rng* rng) const;
+
+  /// Appends `input`'s word ids to `ids`, each replaced by <unk> as Embed
+  /// replaces it: one rng draw per token while word dropout is on.
+  void AppendWordIds(const EncoderInput& input, util::Rng* rng,
+                     std::vector<int>* ids) const;
+
+  /// Features of a batch whose tokens are concatenated, split by `offsets`
+  /// (tensor/ops.h segments): one gather per table and one ConcatCols,
+  /// [total tokens x (kw + 2*kp)]. `word_ids` are AppendWordIds' output.
+  tensor::Tensor EmbedSegments(const std::vector<int>& word_ids,
+                               const std::vector<int>& head_offsets,
+                               const std::vector<int>& tail_offsets,
+                               const std::vector<int>& offsets) const;
   int feature_dim() const;
   Embedding* word_embedding() { return word_.get(); }
 
@@ -80,6 +102,12 @@ class PcnnEncoder : public SentenceEncoder {
 
   tensor::Tensor Encode(const EncoderInput& input,
                         util::Rng* rng) const override;
+  /// One gather per feature table, one ConcatCols, one segmented conv, one
+  /// segmented piecewise pool, one Tanh and one Dropout over the batch.
+  /// Each sentence's word-dropout ids and then its dropout mask are drawn
+  /// before any op runs, in Encode's order.
+  tensor::Tensor EncodeBatch(std::span<const EncoderInput* const> inputs,
+                             util::Rng* rng) const override;
   int output_dim() const override { return 3 * config_.filters; }
 
  private:

@@ -1,13 +1,27 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <thread>
 
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace imr::nn {
 
 namespace {
+
+// A step's updates split into blocks of about this many floats, the pool
+// work unit of RunUpdateBlocks.
+constexpr size_t kStepBlockFloats = 4096;
+// A step enters the pool only from this many floats: about the work a pool
+// handoff costs (a few microseconds) times the thread count, at each
+// update's per-element cost (Adam and Adagrad take a square root and a
+// division per element, SGD a multiply-add).
+constexpr size_t kAdamParallelFloats = size_t{1} << 13;
+constexpr size_t kAdagradParallelFloats = size_t{1} << 13;
+constexpr size_t kSgdParallelFloats = size_t{1} << 16;
 
 // In-place AXPY-style parameter updates. Raw __restrict pointer loops the
 // compiler can vectorise; the float expressions keep the exact association
@@ -102,6 +116,32 @@ Optimizer::Optimizer(Module* module, float learning_rate)
   }
 }
 
+void Optimizer::AddUpdateBlocks(size_t param, UpdateBlock::Kind kind,
+                                size_t units, size_t unit_floats) {
+  const size_t per_block =
+      std::max<size_t>(1, kStepBlockFloats / std::max<size_t>(1, unit_floats));
+  for (size_t lo = 0; lo < units; lo += per_block) {
+    blocks_.push_back({param, kind, lo, std::min(units, lo + per_block)});
+  }
+  block_floats_ += units * unit_floats;
+}
+
+void Optimizer::RunUpdateBlocks(
+    size_t parallel_floats,
+    const std::function<void(const UpdateBlock&)>& update) {
+  const auto run = [&](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) update(blocks_[static_cast<size_t>(b)]);
+  };
+  const int64_t blocks = static_cast<int64_t>(blocks_.size());
+  if (block_floats_ >= parallel_floats && blocks >= 2) {
+    util::GlobalPool().ParallelFor(0, blocks, 1, run);
+  } else {
+    run(0, blocks);
+  }
+  blocks_.clear();
+  block_floats_ = 0;
+}
+
 Sgd::Sgd(Module* module, float learning_rate, float weight_decay,
          float clip_norm)
     : Optimizer(module, learning_rate),
@@ -111,6 +151,7 @@ Sgd::Sgd(Module* module, float learning_rate, float weight_decay,
 void Sgd::Step() {
   float scale = 1.0f;
   if (clip_norm_ > 0.0f) {
+    // Sequential, in parameter order: the double total keeps its bits.
     double total = 0.0;
     for (auto& p : params_) total += GradSquaredSum(p);
     const double norm = std::sqrt(total);
@@ -118,27 +159,40 @@ void Sgd::Step() {
   }
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
-    const auto& g = p.grad();
-    if (g.empty()) continue;
-    auto& values = p.mutable_data();
+    if (p.grad().empty()) continue;
     // Weight decay reads every parameter element, so it is dense-only.
     if (weight_decay_ == 0.0f && p.grad_is_row_sparse()) {
-      const size_t cols = static_cast<size_t>(p.cols());
-      const auto& touched = p.grad_touched_rows();
-      for (int r : touched) {
-        const size_t off = static_cast<size_t>(r) * cols;
-        SgdUpdateInPlace(values.data() + off, g.data() + off, cols,
-                         learning_rate_, scale, 0.0f);
-      }
-      NoteConsumption(p, sparse_capable_[i], touched.size(),
+      const size_t touched = p.grad_touched_rows().size();
+      AddUpdateBlocks(i, UpdateBlock::kTouchedRows, touched,
+                      static_cast<size_t>(p.cols()));
+      NoteConsumption(p, sparse_capable_[i], touched,
                       /*dense_fallback=*/false);
     } else {
-      SgdUpdateInPlace(values.data(), g.data(), values.size(),
-                       learning_rate_, scale, weight_decay_);
+      AddUpdateBlocks(i, UpdateBlock::kElements, p.size(), 1);
       NoteConsumption(p, sparse_capable_[i],
                       static_cast<size_t>(p.rows()), /*dense_fallback=*/true);
     }
-    p.ZeroGrad();
+  }
+  const float lr = learning_rate_;
+  const float weight_decay = weight_decay_;
+  RunUpdateBlocks(kSgdParallelFloats, [&](const UpdateBlock& b) {
+    tensor::Tensor& p = params_[b.param];
+    float* values = p.mutable_data().data();
+    const float* g = p.grad().data();
+    if (b.kind == UpdateBlock::kElements) {
+      SgdUpdateInPlace(values + b.lo, g + b.lo, b.hi - b.lo, lr, scale,
+                       weight_decay);
+      return;
+    }
+    const size_t cols = static_cast<size_t>(p.cols());
+    const std::vector<int>& touched = p.grad_touched_rows();
+    for (size_t k = b.lo; k < b.hi; ++k) {
+      const size_t off = static_cast<size_t>(touched[k]) * cols;
+      SgdUpdateInPlace(values + off, g + off, cols, lr, scale, 0.0f);
+    }
+  });
+  for (auto& p : params_) {
+    if (!p.grad().empty()) p.ZeroGrad();
   }
 }
 
@@ -152,29 +206,43 @@ Adagrad::Adagrad(Module* module, float learning_rate, float epsilon)
 void Adagrad::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
-    const auto& g = p.grad();
-    if (g.empty()) continue;
-    auto& values = p.mutable_data();
+    if (p.grad().empty()) continue;
     // A zero-gradient Adagrad element update is an exact no-op (the
     // accumulator gains +0.0 and the write-back subtracts 0.0), so walking
     // only touched rows is bit-identical to the dense pass.
     if (p.grad_is_row_sparse()) {
-      const size_t cols = static_cast<size_t>(p.cols());
-      const auto& touched = p.grad_touched_rows();
-      for (int r : touched) {
-        const size_t off = static_cast<size_t>(r) * cols;
-        AdagradUpdateInPlace(values.data() + off, accum_[i].data() + off,
-                             g.data() + off, cols, learning_rate_, epsilon_);
-      }
-      NoteConsumption(p, sparse_capable_[i], touched.size(),
+      const size_t touched = p.grad_touched_rows().size();
+      AddUpdateBlocks(i, UpdateBlock::kTouchedRows, touched,
+                      static_cast<size_t>(p.cols()));
+      NoteConsumption(p, sparse_capable_[i], touched,
                       /*dense_fallback=*/false);
     } else {
-      AdagradUpdateInPlace(values.data(), accum_[i].data(), g.data(),
-                           values.size(), learning_rate_, epsilon_);
+      AddUpdateBlocks(i, UpdateBlock::kElements, p.size(), 1);
       NoteConsumption(p, sparse_capable_[i],
                       static_cast<size_t>(p.rows()), /*dense_fallback=*/true);
     }
-    p.ZeroGrad();
+  }
+  const float lr = learning_rate_;
+  RunUpdateBlocks(kAdagradParallelFloats, [&](const UpdateBlock& b) {
+    tensor::Tensor& p = params_[b.param];
+    float* values = p.mutable_data().data();
+    float* acc = accum_[b.param].data();
+    const float* g = p.grad().data();
+    if (b.kind == UpdateBlock::kElements) {
+      AdagradUpdateInPlace(values + b.lo, acc + b.lo, g + b.lo, b.hi - b.lo,
+                           lr, epsilon_);
+      return;
+    }
+    const size_t cols = static_cast<size_t>(p.cols());
+    const std::vector<int>& touched = p.grad_touched_rows();
+    for (size_t k = b.lo; k < b.hi; ++k) {
+      const size_t off = static_cast<size_t>(touched[k]) * cols;
+      AdagradUpdateInPlace(values + off, acc + off, g + off, cols, lr,
+                           epsilon_);
+    }
+  });
+  for (auto& p : params_) {
+    if (!p.grad().empty()) p.ZeroGrad();
   }
 }
 
@@ -192,7 +260,8 @@ Adam::Adam(Module* module, float learning_rate, float beta1, float beta2,
     m_[i].assign(params_[i].size(), 0.0f);
     v_[i].assign(params_[i].size(), 0.0f);
     if (sparse_capable_[i]) {
-      row_done_[i].assign(static_cast<size_t>(params_[i].rows()), 0);
+      row_done_[i] = std::vector<std::atomic<uint32_t>>(
+          static_cast<size_t>(params_[i].rows()));
       if (zero_row_.size() < static_cast<size_t>(params_[i].cols()))
         zero_row_.assign(static_cast<size_t>(params_[i].cols()), 0.0f);
       // Replay deferred updates for a stale row before GatherRows reads
@@ -211,27 +280,50 @@ Adam::~Adam() {
 }
 
 void Adam::MaterializeRows(size_t i, const std::vector<int>& rows) {
-  util::MutexLock lock(mu_);
-  const size_t upto = hist_[i].size();
+  const uint32_t upto = static_cast<uint32_t>(hist_[i].size());
   if (upto == 0) return;
-  for (int r : rows) CatchUpRow(i, r, upto);
+  std::atomic<uint32_t>* done = row_done_[i].data();
+  for (int r : rows) {
+    std::atomic<uint32_t>& row_done = done[static_cast<size_t>(r)];
+    uint32_t seen = row_done.load(std::memory_order_acquire);
+    while (seen != upto) {
+      if ((seen & kRowBusy) != 0) {
+        // Another chunk is replaying this row; its release store makes the
+        // replayed values visible here.
+        std::this_thread::yield();
+        seen = row_done.load(std::memory_order_acquire);
+      } else if (row_done.compare_exchange_weak(
+                     seen, seen | kRowBusy, std::memory_order_acquire,
+                     std::memory_order_acquire)) {
+        ReplayRow(i, r, seen, upto);
+        row_done.store(upto, std::memory_order_release);
+        break;
+      }
+    }
+  }
 }
 
-void Adam::CatchUpRow(size_t i, int row, size_t upto) {
+void Adam::ReplayRow(size_t i, int row, uint32_t from, uint32_t upto) {
   const size_t cols = static_cast<size_t>(params_[i].cols());
   const size_t off = static_cast<size_t>(row) * cols;
   float* values = params_[i].mutable_data().data() + off;
   float* m = m_[i].data() + off;
   float* s = v_[i].data() + off;
-  for (size_t t = row_done_[i][static_cast<size_t>(row)]; t < upto; ++t) {
+  for (uint32_t t = from; t < upto; ++t) {
     const StepRecord& h = hist_[i][t];
     AdamUpdateInPlace(values, m, s, zero_row_.data(), cols, h.lr, beta1_,
                       beta2_, h.bias1, h.bias2, epsilon_);
   }
-  row_done_[i][static_cast<size_t>(row)] = static_cast<uint32_t>(upto);
+}
+
+void Adam::CatchUpRow(size_t i, int row, uint32_t upto) {
+  std::atomic<uint32_t>& row_done = row_done_[i][static_cast<size_t>(row)];
+  ReplayRow(i, row, row_done.load(std::memory_order_relaxed), upto);
+  row_done.store(upto, std::memory_order_relaxed);
 }
 
 void Adam::Step() {
+  util::MutexLock lock(mu_);
   ++step_;
   beta1_pow_ *= static_cast<double>(beta1_);
   beta2_pow_ *= static_cast<double>(beta2_);
@@ -239,14 +331,9 @@ void Adam::Step() {
   const float bias2 = static_cast<float>(1.0 - beta2_pow_);
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
-    const auto& g = p.grad();
-    if (g.empty()) continue;
-    auto& values = p.mutable_data();
+    if (p.grad().empty()) continue;
     if (!sparse_capable_[i]) {
-      AdamUpdateInPlace(values.data(), m_[i].data(), v_[i].data(), g.data(),
-                        values.size(), learning_rate_, beta1_, beta2_, bias1,
-                        bias2, epsilon_);
-      p.ZeroGrad();
+      AddUpdateBlocks(i, UpdateBlock::kElements, p.size(), 1);
       continue;
     }
     // Row-sparse-capable parameter: record this step so rows skipped now
@@ -254,38 +341,48 @@ void Adam::Step() {
     // row after first catching it up on everything it missed. A dense
     // gradient (fallback) still goes row-by-row so per-row bookkeeping
     // stays exact; the arithmetic per element is unchanged either way.
-    util::MutexLock lock(mu_);
     hist_[i].push_back({learning_rate_, bias1, bias2});
-    const size_t upto = hist_[i].size();
     const size_t cols = static_cast<size_t>(p.cols());
-    const int rows = p.rows();
-    const bool sparse = p.grad_is_row_sparse();
-    if (sparse) {
-      const auto& touched = p.grad_touched_rows();
-      for (int r : touched) {
-        CatchUpRow(i, r, upto - 1);
-        const size_t off = static_cast<size_t>(r) * cols;
-        AdamUpdateInPlace(values.data() + off, m_[i].data() + off,
-                          v_[i].data() + off, g.data() + off, cols,
-                          learning_rate_, beta1_, beta2_, bias1, bias2,
-                          epsilon_);
-        row_done_[i][static_cast<size_t>(r)] = static_cast<uint32_t>(upto);
-      }
-      NoteConsumption(p, true, touched.size(), /*dense_fallback=*/false);
+    if (p.grad_is_row_sparse()) {
+      const size_t touched = p.grad_touched_rows().size();
+      AddUpdateBlocks(i, UpdateBlock::kTouchedRows, touched, cols);
+      NoteConsumption(p, true, touched, /*dense_fallback=*/false);
     } else {
-      for (int r = 0; r < rows; ++r) {
-        CatchUpRow(i, r, upto - 1);
-        const size_t off = static_cast<size_t>(r) * cols;
-        AdamUpdateInPlace(values.data() + off, m_[i].data() + off,
-                          v_[i].data() + off, g.data() + off, cols,
-                          learning_rate_, beta1_, beta2_, bias1, bias2,
-                          epsilon_);
-        row_done_[i][static_cast<size_t>(r)] = static_cast<uint32_t>(upto);
-      }
-      NoteConsumption(p, true, static_cast<size_t>(rows),
-                      /*dense_fallback=*/true);
+      const size_t rows = static_cast<size_t>(p.rows());
+      AddUpdateBlocks(i, UpdateBlock::kRows, rows, cols);
+      NoteConsumption(p, true, rows, /*dense_fallback=*/true);
     }
-    p.ZeroGrad();
+  }
+  const float lr = learning_rate_;
+  RunUpdateBlocks(kAdamParallelFloats, [&](const UpdateBlock& b) {
+    tensor::Tensor& p = params_[b.param];
+    float* values = p.mutable_data().data();
+    float* m = m_[b.param].data();
+    float* s = v_[b.param].data();
+    const float* g = p.grad().data();
+    if (b.kind == UpdateBlock::kElements) {
+      AdamUpdateInPlace(values + b.lo, m + b.lo, s + b.lo, g + b.lo,
+                        b.hi - b.lo, lr, beta1_, beta2_, bias1, bias2,
+                        epsilon_);
+      return;
+    }
+    const uint32_t upto = static_cast<uint32_t>(hist_[b.param].size());
+    const size_t cols = static_cast<size_t>(p.cols());
+    const std::vector<int>& touched = p.grad_touched_rows();
+    for (size_t k = b.lo; k < b.hi; ++k) {
+      const int r = b.kind == UpdateBlock::kTouchedRows
+                        ? touched[k]
+                        : static_cast<int>(k);
+      CatchUpRow(b.param, r, upto - 1);
+      const size_t off = static_cast<size_t>(r) * cols;
+      AdamUpdateInPlace(values + off, m + off, s + off, g + off, cols, lr,
+                        beta1_, beta2_, bias1, bias2, epsilon_);
+      row_done_[b.param][static_cast<size_t>(r)].store(
+          upto, std::memory_order_relaxed);
+    }
+  });
+  for (auto& p : params_) {
+    if (!p.grad().empty()) p.ZeroGrad();
   }
 }
 
@@ -293,8 +390,9 @@ void Adam::Finalize() {
   util::MutexLock lock(mu_);
   for (size_t i = 0; i < params_.size(); ++i) {
     if (!sparse_capable_[i] || hist_[i].empty()) continue;
+    const uint32_t upto = static_cast<uint32_t>(hist_[i].size());
     const int rows = params_[i].rows();
-    for (int r = 0; r < rows; ++r) CatchUpRow(i, r, hist_[i].size());
+    for (int r = 0; r < rows; ++r) CatchUpRow(i, r, upto);
   }
 }
 

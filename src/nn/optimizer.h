@@ -14,7 +14,10 @@
 #ifndef IMR_NN_OPTIMIZER_H_
 #define IMR_NN_OPTIMIZER_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/module.h"
@@ -45,12 +48,38 @@ class Optimizer {
  protected:
   Optimizer(Module* module, float learning_rate);
 
+  // One unit of a step's elementwise updates, for parameter `param`:
+  // elements [lo, hi) (kElements), the rows at positions [lo, hi) of its
+  // grad_touched_rows() (kTouchedRows), or rows [lo, hi) (kRows).
+  struct UpdateBlock {
+    enum Kind { kElements, kTouchedRows, kRows };
+    size_t param;
+    Kind kind;
+    size_t lo;
+    size_t hi;
+  };
+
+  // Appends blocks covering `units` units (elements or rows) of
+  // `unit_floats` floats each, about kStepBlockFloats floats per block.
+  void AddUpdateBlocks(size_t param, UpdateBlock::Kind kind, size_t units,
+                       size_t unit_floats);
+  // Runs `update` on every block queued since the last call, on the global
+  // pool when the step covers at least `parallel_floats` floats. Every
+  // element belongs to one block and its update reads only its own state,
+  // so the result is the same as one sequential pass.
+  void RunUpdateBlocks(size_t parallel_floats,
+                       const std::function<void(const UpdateBlock&)>& update);
+
   std::vector<tensor::Tensor> params_;
   // params_[i].row_sparse_grad() snapshotted at construction; a parameter
   // toggled afterwards keeps its dense treatment (toggling mid-training is
   // unsupported).
   std::vector<bool> sparse_capable_;
   float learning_rate_;
+
+ private:
+  std::vector<UpdateBlock> blocks_;  // reused from step to step
+  size_t block_floats_ = 0;          // floats the queued blocks cover
 };
 
 /// Plain SGD with optional L2 weight decay and gradient clipping (by global
@@ -85,6 +114,13 @@ class Adagrad : public Optimizer {
 /// reading — so training trajectories are bit-identical to a dense run.
 /// Finalize() (or destruction of the model-reading scope calling it)
 /// catches the remaining rows up.
+///
+/// Phase rule: Step() and Finalize() run between forward regions, never
+/// alongside a forward or backward pass on the model. Within a forward
+/// region the hook may fire from every data-parallel chunk at once; it
+/// takes no lock but claims rows one at a time (see row_done_), so
+/// concurrent chunks replay different rows in parallel and each (row,
+/// step) is replayed exactly once.
 class Adam : public Optimizer {
  public:
   Adam(Module* module, float learning_rate, float beta1 = 0.9f,
@@ -103,37 +139,47 @@ class Adam : public Optimizer {
     float bias2;
   };
 
-  // Replays the recorded steps [row_done_[i][row], upto) for one row of
-  // parameter i with an all-zero gradient row, through the same in-place
-  // kernel as live updates. Distinct rows touch disjoint slices of the
-  // parameter/m/v storage, so replay order across rows cannot change the
-  // result.
-  void CatchUpRow(size_t i, int row, size_t upto) IMR_REQUIRES(mu_);
+  // Replays the recorded steps [from, upto) for one row of parameter i with
+  // an all-zero gradient row, through the same in-place kernel as live
+  // updates. Distinct rows touch disjoint slices of the parameter/m/v
+  // storage, so replay order across rows cannot change the result.
+  void ReplayRow(size_t i, int row, uint32_t from, uint32_t upto);
+
+  // Brings one row up to step `upto` during Step (no forward running, so
+  // no claim is needed).
+  void CatchUpRow(size_t i, int row, uint32_t upto);
 
   // The row-materializer hook installed on row-sparse parameters: brings
   // `rows` fully up to date before their values are read. Safe under
-  // concurrent data-parallel forward passes (serialized on mu_; per-row
-  // replay is idempotent and deterministic, so the winner is irrelevant).
+  // concurrent data-parallel forward passes without a lock: each stale row
+  // is claimed with a compare-and-swap on its row_done_ entry, replayed by
+  // the claiming thread, and released; a thread that finds a row claimed
+  // waits for the release before reading it.
   void MaterializeRows(size_t i, const std::vector<int>& rows);
 
+  // Set in a row_done_ entry while a thread replays that row.
+  static constexpr uint32_t kRowBusy = uint32_t{1} << 31;
+
   float beta1_, beta2_, epsilon_;
-  int64_t step_ = 0;
+  // Taken by Step and Finalize. The hook never takes it: the phase rule in
+  // the class comment keeps it from overlapping them.
+  util::Mutex mu_;
+  int64_t step_ IMR_GUARDED_BY(mu_) = 0;
   // Running beta^step accumulators in double: float std::pow(beta, step)
   // drifts from the true power long before step 10k, and the bias term is
   // the one place Adam is sensitive to it.
-  double beta1_pow_ = 1.0;
-  double beta2_pow_ = 1.0;
+  double beta1_pow_ IMR_GUARDED_BY(mu_) = 1.0;
+  double beta2_pow_ IMR_GUARDED_BY(mu_) = 1.0;
+  // m/v state, parameter values and the two tables below are read by the
+  // hook without mu_: Step and Finalize write them only outside forward
+  // regions, and within one the hook writes only the rows it has claimed.
   std::vector<std::vector<float>> m_, v_;
-  // Serializes deferred-row replay between the materializer hook (fired
-  // from data-parallel forwards) and Step/Finalize. m_/v_/parameter values
-  // are row-disjoint under the replay, so guarding the bookkeeping is
-  // enough.
-  util::Mutex mu_;
   // Per row-sparse parameter: the steps it had a gradient for (hist_), and
-  // per row how many of those steps have been applied (row_done_). Empty
-  // for dense parameters.
-  std::vector<std::vector<StepRecord>> hist_ IMR_GUARDED_BY(mu_);
-  std::vector<std::vector<uint32_t>> row_done_ IMR_GUARDED_BY(mu_);
+  // per row how many of those steps have been applied, with kRowBusy set
+  // while a forward pass replays the row (row_done_). Empty for dense
+  // parameters.
+  std::vector<std::vector<StepRecord>> hist_;
+  std::vector<std::vector<std::atomic<uint32_t>>> row_done_;
   std::vector<float> zero_row_;  // scratch all-zero gradient row, read-only
 };
 

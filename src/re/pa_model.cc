@@ -79,14 +79,25 @@ float PaModel::alpha() const { return alpha_.defined() ? alpha_.item() : 0; }
 float PaModel::beta() const { return beta_.defined() ? beta_.item() : 0; }
 float PaModel::gamma() const { return gamma_.defined() ? gamma_.item() : 0; }
 
+namespace {
+
+// The sentences handed to EncodeBatch. Kept per thread and reused: chunks
+// of a data-parallel batch and router workers encode concurrently.
+std::vector<const nn::EncoderInput*>& ThreadEncoderInputs() {
+  thread_local std::vector<const nn::EncoderInput*> inputs;
+  inputs.clear();
+  return inputs;
+}
+
+}  // namespace
+
 Tensor PaModel::EncodeBag(const Bag& bag, util::Rng* rng) const {
   IMR_CHECK(!bag.sentences.empty());
-  std::vector<Tensor> rows;
-  rows.reserve(bag.sentences.size());
+  std::vector<const nn::EncoderInput*>& inputs = ThreadEncoderInputs();
   for (const nn::EncoderInput& sentence : bag.sentences) {
-    rows.push_back(encoder_->Encode(sentence, rng));
+    inputs.push_back(&sentence);
   }
-  return tensor::ConcatRows(rows);
+  return encoder_->EncodeBatch(inputs, rng);
 }
 
 Tensor PaModel::Aggregate(const Tensor& encodings, int query_relation) const {
@@ -149,6 +160,31 @@ Tensor PaModel::BagLogits(const Bag& bag, int query_relation,
 Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
                           util::Rng* rng) const {
   IMR_CHECK(!batch.empty());
+  // Every sentence of the batch in one EncodeBatch call; each bag then
+  // takes its rows with one slice.
+  std::vector<const nn::EncoderInput*>& inputs = ThreadEncoderInputs();
+  for (const Bag* bag : batch) {
+    IMR_CHECK(!bag->sentences.empty());
+    for (const nn::EncoderInput& sentence : bag->sentences) {
+      inputs.push_back(&sentence);
+    }
+  }
+  const Tensor all = encoder_->EncodeBatch(inputs, rng);
+  std::vector<Tensor> encodings;
+  encodings.reserve(batch.size());
+  int first_row = 0;
+  for (const Bag* bag : batch) {
+    const int rows = static_cast<int>(bag->sentences.size());
+    encodings.push_back(tensor::SliceRows(all, first_row, rows));
+    first_row += rows;
+  }
+  return BatchLoss(batch, encodings);
+}
+
+Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
+                          const std::vector<Tensor>& encodings) const {
+  IMR_CHECK(!batch.empty());
+  IMR_CHECK_EQ(encodings.size(), batch.size());
   const bool fused =
       config_.use_mutual_relation || config_.use_entity_type;
   const bool auxiliary = fused && config_.auxiliary_re_loss > 0.0f;
@@ -157,13 +193,13 @@ Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
   std::vector<int> labels;
   logit_rows.reserve(batch.size());
   labels.reserve(batch.size());
-  for (const Bag* bag : batch) {
-    Tensor encodings = EncodeBag(*bag, rng);
-    Tensor bag_repr = Aggregate(encodings, bag->relation);
+  for (size_t b = 0; b < batch.size(); ++b) {
+    const Bag& bag = *batch[b];
+    Tensor bag_repr = Aggregate(encodings[b], bag.relation);
     Tensor re_logits = re_head_->Forward(bag_repr);
-    logit_rows.push_back(FuseLogits(*bag, re_logits));
+    logit_rows.push_back(FuseLogits(bag, re_logits));
     if (auxiliary) re_rows.push_back(re_logits);
-    labels.push_back(bag->relation);
+    labels.push_back(bag.relation);
   }
   Tensor loss =
       tensor::CrossEntropyLoss(tensor::ConcatRows(logit_rows), labels);

@@ -44,8 +44,18 @@ class PaModel : public nn::Module {
 
   /// Training loss of a batch of bags (mean cross-entropy of the gold
   /// labels, attention queried with the gold label as in Lin et al.).
+  /// Encodes every sentence of the batch with one EncodeBatch call and
+  /// hands each bag one row slice of the result to the overload below.
   tensor::Tensor BatchLoss(const std::vector<const Bag*>& batch,
                            util::Rng* rng) const;
+
+  /// The same loss from sentence encodings the caller computed:
+  /// encodings[b] is bag b's [N_b x C], for example a graph built with
+  /// encoder().Encode one sentence at a time.
+  tensor::Tensor BatchLoss(const std::vector<const Bag*>& batch,
+                           const std::vector<tensor::Tensor>& encodings) const;
+
+  const nn::SentenceEncoder& encoder() const { return *encoder_; }
 
   /// Inference: probability of every relation for a bag. With selective
   /// attention each relation r is scored under its own query (the standard
@@ -83,7 +93,7 @@ class PaModel : public nn::Module {
  private:
   // Shared inference path behind both Predict overloads.
   std::vector<float> PredictImpl(const Bag& bag, util::Rng* rng) const;
-  // Encodes all sentences of a bag into [N x C].
+  // Encodes all sentences of a bag into [N x C] with one EncodeBatch call.
   tensor::Tensor EncodeBag(const Bag& bag, util::Rng* rng) const;
   tensor::Tensor Aggregate(const tensor::Tensor& encodings,
                            int query_relation) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
@@ -130,10 +131,11 @@ double Trainer::ParallelBatchStep(
   // drawn sequentially from the trainer rng up front (so its stream
   // advances identically at any worker count); each chunk builds its own
   // graph with a private rng (dropout) and its chunk's gradient sink
-  // capturing its leaf gradients. Sinks merge into the shared grads in
-  // ascending chunk order afterwards. Each chunk loss is scaled by
-  // chunk_size / batch_size before backward, so the merged gradient equals
-  // the gradient of the global batch mean. Returns the batch mean loss.
+  // capturing its leaf gradients. One merge then adds the sinks into the
+  // shared grads, each element in ascending chunk order. Each chunk loss is
+  // scaled by chunk_size / batch_size before backward, so the merged
+  // gradient equals the gradient of the global batch mean. Returns the
+  // batch mean loss.
   //
   // The sinks live for the whole Train call (grad_sinks_), one per chunk
   // index, and are reset between passes: a chunk's gradient buffers are
@@ -171,10 +173,10 @@ double Trainer::ParallelBatchStep(
           losses[c] = static_cast<double>(loss.item()) *
                       static_cast<double>(hi - lo);
         });
-    for (int64_t c = 0; c < chunks; ++c) {
-      grad_sinks_[static_cast<size_t>(c)]->MergeIntoShared();
-      grad_sinks_[static_cast<size_t>(c)]->Reset();
-    }
+    const std::span<const std::unique_ptr<tensor::internal::ScopedGradSink>>
+        pass_sinks(grad_sinks_.data(), static_cast<size_t>(chunks));
+    tensor::internal::ScopedGradSink::MergeIntoShared(pass_sinks);
+    for (const auto& sink : pass_sinks) sink->Reset();
     double sum = 0.0;
     for (double l : losses) sum += l;
     return sum / static_cast<double>(n);

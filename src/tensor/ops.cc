@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "tensor/buffer_pool.h"
@@ -33,6 +34,53 @@ inline std::vector<float>* GradOf(const Tensor& t) {
 void CheckSameShape(const Tensor& a, const Tensor& b) {
   IMR_CHECK(a.shape() == b.shape());
 }
+
+// True when an op on these parents records a backward closure (MakeResult's
+// own test). Ops whose closure copies index lists build it only then, so a
+// no-grad forward (serving) copies nothing.
+inline bool Records(std::initializer_list<const Tensor*> parents) {
+  if (!GradModeEnabled()) return false;
+  for (const Tensor* p : parents) {
+    if (WantsGrad(*p)) return true;
+  }
+  return false;
+}
+
+// Checks `offsets` against the segment contract in ops.h for `rows` rows.
+void CheckOffsets(const std::vector<int>& offsets, int rows) {
+  IMR_CHECK_GE(offsets.size(), 2u);
+  IMR_CHECK_EQ(offsets.front(), 0);
+  IMR_CHECK_EQ(offsets.back(), rows);
+  for (size_t s = 1; s < offsets.size(); ++s) {
+    IMR_CHECK_LT(offsets[s - 1], offsets[s]);
+  }
+}
+
+// The segments a segmented op walks: `offsets` as in ops.h, or, when empty,
+// one segment of all `rows` (the one-segment wrappers pass an empty list,
+// which a backward closure copies without allocating).
+struct SegmentView {
+  const std::vector<int>& offsets;
+  int rows;
+
+  int count() const {
+    return offsets.empty() ? 1 : static_cast<int>(offsets.size()) - 1;
+  }
+  int begin(int s) const {
+    return offsets.empty() ? 0 : offsets[static_cast<size_t>(s)];
+  }
+  int end(int s) const {
+    return offsets.empty() ? rows : offsets[static_cast<size_t>(s) + 1];
+  }
+  // The segment that holds row t.
+  int Find(int64_t t) const {
+    if (offsets.empty()) return 0;
+    return static_cast<int>(
+               std::upper_bound(offsets.begin(), offsets.end(), t) -
+               offsets.begin()) -
+           1;
+  }
+};
 
 // ---- MatMul kernels -------------------------------------------------------
 //
@@ -335,7 +383,13 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Tanh(const Tensor& a) {
   std::vector<float> out = AcquireBuffer(a.size());
-  simd::Active().tanh(a.data().data(), out.data(), out.size());
+  // Row by row: a vector backend then splits each row into lanes and a
+  // tail exactly as it splits that row alone.
+  const simd::Kernels& kernels = simd::Active();
+  const size_t cols = static_cast<size_t>(a.cols());
+  for (size_t off = 0; off < out.size(); off += cols) {
+    kernels.tanh(a.data().data() + off, out.data() + off, cols);
+  }
   return MakeResult(a.shape(), std::move(out), {a},
                     [a](TensorImpl& self) {
                       if (!WantsGrad(a)) return;
@@ -379,18 +433,29 @@ Tensor Relu(const Tensor& a) {
 
 Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training) {
   if (!training || p <= 0.0f) return a;
+  std::vector<float> mask = AcquireBuffer(a.size());
+  DrawDropoutMask(p, rng, mask.data(), mask.size());
+  return Dropout(a, std::move(mask));
+}
+
+void DrawDropoutMask(float p, util::Rng* rng, float* mask, size_t n) {
   IMR_CHECK(rng != nullptr);
+  IMR_CHECK_GT(p, 0.0f);
   IMR_CHECK_LT(p, 1.0f);
   const float keep_scale = 1.0f / (1.0f - p);
+  for (size_t i = 0; i < n; ++i) {
+    mask[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
+  }
+}
+
+Tensor Dropout(const Tensor& a, std::vector<float>&& mask_buffer) {
+  IMR_CHECK_EQ(mask_buffer.size(), a.size());
   // The mask rides along in the backward closure; PooledFloats returns its
   // storage to the pool when the graph node dies.
-  PooledFloats mask(AcquireBuffer(a.size()));
+  PooledFloats mask(std::move(mask_buffer));
   std::vector<float> out = AcquireBuffer(a.size());
   const auto& av = a.data();
-  for (size_t i = 0; i < out.size(); ++i) {
-    mask[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
-    out[i] = av[i] * mask[i];
-  }
+  for (size_t i = 0; i < out.size(); ++i) out[i] = av[i] * mask[i];
   return MakeResult(a.shape(), std::move(out), {a},
                     [a, mask = std::move(mask)](TensorImpl& self) {
                       if (!WantsGrad(a)) return;
@@ -745,6 +810,26 @@ Tensor Row(const Tensor& x, int r) {
                     });
 }
 
+Tensor SliceRows(const Tensor& x, int start, int count) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  IMR_CHECK_GE(start, 0);
+  IMR_CHECK_GE(count, 0);
+  IMR_CHECK_LE(start + count, x.shape()[0]);
+  const int cols = x.shape()[1];
+  const size_t offset = static_cast<size_t>(start) * cols;
+  std::vector<float> out =
+      AcquireBuffer(static_cast<size_t>(count) * cols);
+  std::copy_n(x.data().begin() + static_cast<long>(offset), out.size(),
+              out.begin());
+  return MakeResult({count, cols}, std::move(out), {x},
+                    [x, offset](TensorImpl& self) {
+                      if (!WantsGrad(x)) return;
+                      float* gx = GradOf(x)->data() + offset;
+                      for (size_t i = 0; i < self.grad.size(); ++i)
+                        gx[i] += self.grad[i];
+                    });
+}
+
 Tensor Slice(const Tensor& v, int start, int len) {
   IMR_CHECK_EQ(v.rank(), 1);
   IMR_CHECK_GE(start, 0);
@@ -762,10 +847,15 @@ Tensor Slice(const Tensor& v, int start, int len) {
                     });
 }
 
-Tensor GatherRows(const Tensor& table, const std::vector<int>& indices) {
+namespace {
+
+// GatherRows over `offsets` segments (empty: one segment).
+Tensor GatherSegments(const Tensor& table, const std::vector<int>& indices,
+                      const std::vector<int>& offsets) {
   IMR_CHECK_EQ(table.rank(), 2);
   const int vocab = table.shape()[0];
   const int dim = table.shape()[1];
+  const int count = static_cast<int>(indices.size());
   // Let a lazily-updating optimizer replay deferred updates for these rows
   // before their values are read (keeps sparse == dense bit-identical).
   if (table.impl()->row_materializer) table.impl()->row_materializer(indices);
@@ -780,22 +870,40 @@ Tensor GatherRows(const Tensor& table, const std::vector<int>& indices) {
               tv.begin() + static_cast<size_t>(idx + 1) * dim,
               out.begin() + n * dim);
   }
-  return MakeResult({static_cast<int>(indices.size()), dim}, std::move(out),
-                    {table}, [table, indices, dim](TensorImpl& self) {
-                      if (!WantsGrad(table)) return;
-                      // Row-tracked accumulation: a row-sparse table (see
-                      // Tensor::set_row_sparse_grad) records exactly these
-                      // rows so ZeroGrad / merge / optimizers never walk
-                      // the untouched remainder of the vocab.
-                      auto* gt = internal::GradTargetRows(table.impl(),
-                                                          indices);
-                      for (size_t n = 0; n < indices.size(); ++n) {
-                        const size_t dst =
-                            static_cast<size_t>(indices[n]) * dim;
-                        for (int c = 0; c < dim; ++c)
-                          (*gt)[dst + c] += self.grad[n * dim + c];
-                      }
-                    });
+  if (!Records({&table})) {
+    return MakeResult({count, dim}, std::move(out), {table}, nullptr);
+  }
+  return MakeResult(
+      {count, dim}, std::move(out), {table},
+      [table, indices, offsets, count, dim](TensorImpl& self) {
+        // Row-tracked accumulation: a row-sparse table (see
+        // Tensor::set_row_sparse_grad) records exactly these rows so
+        // ZeroGrad / merge / optimizers never walk the untouched remainder
+        // of the vocab.
+        auto* gt = internal::GradTargetRows(table.impl(), indices);
+        const SegmentView segments{offsets, count};
+        for (int s = segments.count() - 1; s >= 0; --s) {
+          for (int n = segments.begin(s); n < segments.end(s); ++n) {
+            const size_t dst =
+                static_cast<size_t>(indices[static_cast<size_t>(n)]) * dim;
+            const size_t src = static_cast<size_t>(n) * dim;
+            for (int c = 0; c < dim; ++c)
+              (*gt)[dst + c] += self.grad[src + c];
+          }
+        }
+      });
+}
+
+}  // namespace
+
+Tensor GatherRows(const Tensor& table, const std::vector<int>& indices) {
+  return GatherSegments(table, indices, {});
+}
+
+Tensor GatherRows(const Tensor& table, const std::vector<int>& indices,
+                  const std::vector<int>& offsets) {
+  CheckOffsets(offsets, static_cast<int>(indices.size()));
+  return GatherSegments(table, indices, offsets);
 }
 
 Tensor Sum(const Tensor& a) {
@@ -878,49 +986,94 @@ Tensor MaxOverRows(const Tensor& x) {
                     });
 }
 
-Tensor PiecewiseMaxOverRows(const Tensor& x, int b1, int b2) {
+namespace {
+
+// PiecewiseMaxOverRows over `offsets` segments (empty: one segment), with
+// two piece bounds per segment in `splits`; the output has 3 * cols floats
+// per segment and the shape `out_shape`.
+Tensor PiecewiseMaxSegments(const Tensor& x, const std::vector<int>& offsets,
+                            const int* splits, std::vector<int> out_shape) {
   IMR_CHECK_EQ(x.rank(), 2);
   const int rows = x.shape()[0];
   const int cols = x.shape()[1];
-  IMR_CHECK_GE(b1, 0);
-  IMR_CHECK_LE(b1, b2);
-  IMR_CHECK_LE(b2, rows);
+  const SegmentView segments{offsets, rows};
+  const int count = segments.count();
+  const size_t out_cols = 3 * static_cast<size_t>(cols);
   std::vector<float> out =
-      AcquireBufferFill(3 * static_cast<size_t>(cols), 0.0f);
-  // argmax = -1 marks an empty segment (output stays 0, no gradient).
-  std::vector<int> argmax(3 * static_cast<size_t>(cols), -1);
+      AcquireBufferFill(static_cast<size_t>(count) * out_cols, 0.0f);
+  const bool record = Records({&x});
+  // argmax = -1 marks an empty piece (output stays 0, no gradient). Only a
+  // recording forward needs it.
+  std::vector<int> argmax;
+  if (record) argmax.assign(static_cast<size_t>(count) * out_cols, -1);
   const auto& xv = x.data();
-  const int bounds[4] = {0, b1, b2, rows};
-  for (int seg = 0; seg < 3; ++seg) {
-    const int lo = bounds[seg];
-    const int hi = bounds[seg + 1];
-    if (lo >= hi) continue;
-    for (int c = 0; c < cols; ++c) {
-      float best = -std::numeric_limits<float>::infinity();
-      int best_r = lo;
-      for (int r = lo; r < hi; ++r) {
-        const float v = xv[static_cast<size_t>(r) * cols + c];
-        if (v > best) {
-          best = v;
-          best_r = r;
+  for (int s = 0; s < count; ++s) {
+    const int first = segments.begin(s);
+    const int time = segments.end(s) - first;
+    const int b1 = splits[2 * s];
+    const int b2 = splits[2 * s + 1];
+    IMR_CHECK_GE(b1, 0);
+    IMR_CHECK_LE(b1, b2);
+    IMR_CHECK_LE(b2, time);
+    const int bounds[4] = {first, first + b1, first + b2, first + time};
+    for (int piece = 0; piece < 3; ++piece) {
+      const int lo = bounds[piece];
+      const int hi = bounds[piece + 1];
+      if (lo >= hi) continue;
+      const size_t base =
+          static_cast<size_t>(s) * out_cols + static_cast<size_t>(piece) * cols;
+      for (int c = 0; c < cols; ++c) {
+        float best = -std::numeric_limits<float>::infinity();
+        int best_r = lo;
+        for (int r = lo; r < hi; ++r) {
+          const float v = xv[static_cast<size_t>(r) * cols + c];
+          if (v > best) {
+            best = v;
+            best_r = r;
+          }
         }
+        out[base + c] = best;
+        if (record) argmax[base + c] = best_r;
       }
-      out[static_cast<size_t>(seg) * cols + c] = best;
-      argmax[static_cast<size_t>(seg) * cols + c] = best_r;
     }
   }
-  return MakeResult({3 * cols}, std::move(out), {x},
-                    [x, argmax = std::move(argmax), cols](TensorImpl& self) {
-                      if (!WantsGrad(x)) return;
-                      auto* gx = GradOf(x);
-                      for (size_t i = 0; i < argmax.size(); ++i) {
-                        const int r = argmax[i];
-                        if (r < 0) continue;
-                        const size_t c = i % cols;
-                        (*gx)[static_cast<size_t>(r) * cols + c] +=
-                            self.grad[i];
-                      }
-                    });
+  if (!record) {
+    return MakeResult(std::move(out_shape), std::move(out), {x}, nullptr);
+  }
+  return MakeResult(
+      std::move(out_shape), std::move(out), {x},
+      [x, argmax = std::move(argmax), cols, count,
+       out_cols](TensorImpl& self) {
+        if (!WantsGrad(x)) return;
+        auto* gx = GradOf(x);
+        for (int s = count - 1; s >= 0; --s) {
+          const size_t base = static_cast<size_t>(s) * out_cols;
+          for (size_t i = 0; i < out_cols; ++i) {
+            const int r = argmax[base + i];
+            if (r < 0) continue;
+            const size_t c = i % cols;
+            (*gx)[static_cast<size_t>(r) * cols + c] += self.grad[base + i];
+          }
+        }
+      });
+}
+
+}  // namespace
+
+Tensor PiecewiseMaxOverRows(const Tensor& x, int b1, int b2) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  const int splits[2] = {b1, b2};
+  return PiecewiseMaxSegments(x, {}, splits, {3 * x.shape()[1]});
+}
+
+Tensor PiecewiseMaxOverRows(const Tensor& x, const std::vector<int>& offsets,
+                            const std::vector<int>& splits) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  const int count = static_cast<int>(offsets.size()) - 1;
+  IMR_CHECK_EQ(splits.size(), 2 * static_cast<size_t>(count));
+  return PiecewiseMaxSegments(x, offsets, splits.data(),
+                              {count, 3 * x.shape()[1]});
 }
 
 Tensor Softmax(const Tensor& x) {
@@ -1003,8 +1156,11 @@ Tensor CrossEntropyLoss(const Tensor& logits,
       });
 }
 
-Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                  int window) {
+namespace {
+
+// Conv1dSame over `offsets` segments (empty: one segment).
+Tensor ConvSegments(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                    int window, const std::vector<int>& offsets) {
   IMR_CHECK_EQ(x.rank(), 2);
   IMR_CHECK_EQ(weight.rank(), 2);
   IMR_CHECK_EQ(window % 2, 1);
@@ -1024,15 +1180,25 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
   const float* xv = x.data().data();
   const float* wv = weight.data().data();
   const float* bv = bias.data().data();
+  // Packed once for every segment.
   PooledFloats packed(AcquireBuffer(static_cast<size_t>(filters) * inner));
   kernels.conv1d_pack(wv, filters, inner, packed.data());
   const float* pv = packed.data();
+  const SegmentView segments{offsets, time};
   // Each output row t is produced wholly by the chunk that owns t, with the
-  // same per-row arithmetic as the scalar kernel, so the result is
-  // bit-identical at any thread count.
+  // per-row arithmetic of the scalar kernel run on t's segment alone, so
+  // the result is bit-identical at any thread count.
   auto forward_rows = [&](int64_t t_lo, int64_t t_hi) {
-    kernels.conv1d_rows(xv, wv, pv, bv, out.data(), time, dim, filters,
-                        window, t_lo, t_hi);
+    for (int s = segments.Find(t_lo); t_lo < t_hi; ++s) {
+      const int first = segments.begin(s);
+      const int last = segments.end(s);
+      const int64_t stop = std::min<int64_t>(t_hi, last);
+      kernels.conv1d_rows(xv + static_cast<size_t>(first) * dim, wv, pv, bv,
+                          out.data() + static_cast<size_t>(first) * filters,
+                          last - first, dim, filters, window, t_lo - first,
+                          stop - first);
+      t_lo = stop;
+    }
   };
   const int64_t row_macs = static_cast<int64_t>(filters) * inner;
   if (time >= 2 && row_macs * time >= kConvParallelMacs) {
@@ -1041,38 +1207,49 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
   } else {
     forward_rows(0, time);
   }
+  if (!Records({&x, &weight, &bias})) {
+    return MakeResult({time, filters}, std::move(out), {x, weight, bias},
+                      nullptr);
+  }
   return MakeResult(
       {time, filters}, std::move(out), {x, weight, bias},
-      [x, weight, bias, window, time, dim, filters, inner,
-       half](TensorImpl& self) {
+      [x, weight, bias, window, time, dim, filters, inner, half,
+       offsets](TensorImpl& self) {
         const simd::Kernels& kernels = simd::Active();
         const float* gout = self.grad.data();
         const float* xv = x.data().data();
         const float* wv = weight.data().data();
+        const SegmentView segments{offsets, time};
+        const int count_segments = segments.count();
         // After the piecewise max pool at most three rows per filter carry
         // gradient, so nearly every (t, f) entry of gout is zero. Compact
         // the nonzero ones once, row by row with f ascending; the test is
         // the scalar kernel's (`g == 0.0f` skips -0.0f and keeps NaN).
+        // The list grows to the entries found (at most three rows per
+        // filter and segment), not to time x filters, so a thread that
+        // once ran a long batch keeps no batch-sized scratch.
         ConvGradRows& nz = ThreadConvGradRows();
         nz.row_begin.resize(static_cast<size_t>(time) + 1);
-        nz.filter.resize(static_cast<size_t>(time) * filters);
-        int count = 0;
+        nz.filter.clear();
         for (int t = 0; t < time; ++t) {
-          nz.row_begin[static_cast<size_t>(t)] = count;
+          nz.row_begin[static_cast<size_t>(t)] =
+              static_cast<int>(nz.filter.size());
           const float* grow = gout + static_cast<size_t>(t) * filters;
           for (int f = 0; f < filters; ++f) {
-            if (grow[f] != 0.0f) nz.filter[static_cast<size_t>(count++)] = f;
+            if (grow[f] != 0.0f) nz.filter.push_back(f);
           }
         }
+        const int count = static_cast<int>(nz.filter.size());
         nz.row_begin[static_cast<size_t>(time)] = count;
         const int* row_begin = nz.row_begin.data();
         const int* nz_filter = nz.filter.data();
         // Backward runs as owner-computes passes (weight sharded over
-        // filters, input over source rows). Each reproduces the scalar
-        // kernel's per-element accumulation sequence — t ascends, then f,
-        // for every (f), (f,w,d) and (src,d) destination — so gradients
-        // are bit-identical at any thread count and on every backend
-        // (axpy is [exact]).
+        // filters, input over source rows). Each walks the segments last to
+        // first and reproduces the scalar kernel's per-element sequence
+        // within a segment — t ascends, then f, for every (f), (f,w,d) and
+        // (src,d) destination — so gradients are bit-identical at any
+        // thread count, on every backend (axpy is [exact]) and to one conv
+        // per segment.
         const int64_t backward_macs = static_cast<int64_t>(count) * inner;
         const bool parallel = backward_macs >= kConvParallelMacs;
         if (WantsGrad(bias)) {
@@ -1080,32 +1257,39 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
           // and a sum that starts at +0.0f is never -0.0f, so adding a
           // zero would leave it unchanged.
           float* gbv = GradOf(bias)->data();
-          for (int t = 0; t < time; ++t) {
-            const float* grow = gout + static_cast<size_t>(t) * filters;
-            for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
-              gbv[nz_filter[k]] += grow[nz_filter[k]];
+          for (int s = count_segments - 1; s >= 0; --s) {
+            for (int t = segments.begin(s); t < segments.end(s); ++t) {
+              const float* grow = gout + static_cast<size_t>(t) * filters;
+              for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
+                gbv[nz_filter[k]] += grow[nz_filter[k]];
+              }
             }
           }
         }
         if (WantsGrad(weight)) {
           float* gwv = GradOf(weight)->data();
           // For one (t, f) the in-range window positions [w_lo, w_hi) read
-          // consecutive source rows and write consecutive (w, d) entries of
-          // gw's row f, so the whole window is one axpy.
+          // consecutive source rows of t's segment and write consecutive
+          // (w, d) entries of gw's row f, so the whole window is one axpy.
           auto gw_filters = [&](int64_t f_lo, int64_t f_hi) {
-            for (int t = 0; t < time; ++t) {
-              const int w_lo = std::max(0, half - t);
-              const int w_hi = std::min(window, time - t + half);
-              const float* grow = gout + static_cast<size_t>(t) * filters;
-              const float* xsrc =
-                  xv + static_cast<size_t>(t + w_lo - half) * dim;
-              for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
-                const int f = nz_filter[k];
-                if (f < f_lo || f >= f_hi) continue;
-                kernels.axpy(grow[f], xsrc,
-                             gwv + static_cast<size_t>(f) * inner +
-                                 static_cast<size_t>(w_lo) * dim,
-                             static_cast<size_t>(w_hi - w_lo) * dim);
+            for (int s = count_segments - 1; s >= 0; --s) {
+              const int first = segments.begin(s);
+              const int seg_time = segments.end(s) - first;
+              for (int t = 0; t < seg_time; ++t) {
+                const int w_lo = std::max(0, half - t);
+                const int w_hi = std::min(window, seg_time - t + half);
+                const int row = first + t;
+                const float* grow = gout + static_cast<size_t>(row) * filters;
+                const float* xsrc =
+                    xv + static_cast<size_t>(row + w_lo - half) * dim;
+                for (int k = row_begin[row]; k < row_begin[row + 1]; ++k) {
+                  const int f = nz_filter[k];
+                  if (f < f_lo || f >= f_hi) continue;
+                  kernels.axpy(grow[f], xsrc,
+                               gwv + static_cast<size_t>(f) * inner +
+                                   static_cast<size_t>(w_lo) * dim,
+                               static_cast<size_t>(w_hi - w_lo) * dim);
+                }
               }
             }
           };
@@ -1118,26 +1302,37 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
         }
         if (WantsGrad(x)) {
           float* gxv = GradOf(x)->data();
-          // Source rows [src_lo, src_hi) take terms from t in
-          // [src_lo - half, src_hi + half) through window positions
+          // Source rows [src_lo, src_hi) of a segment take terms from its t
+          // in [src_lo - half, src_hi + half) through window positions
           // w = src - t + half; walking t up (then f) reproduces the scalar
           // kernel's t-ascending order into every gx[src, d], and the
-          // in-range positions again form one contiguous axpy.
+          // in-range positions again form one contiguous axpy. Segments
+          // never write each other's rows.
           auto gx_rows = [&](int64_t src_lo, int64_t src_hi) {
-            const int lo = static_cast<int>(src_lo);
-            const int hi = static_cast<int>(src_hi);
-            for (int t = std::max(0, lo - half);
-                 t < std::min(time, hi + half); ++t) {
-              const int w_lo = std::max(0, lo - t + half);
-              const int w_hi = std::min(window, hi - t + half);
-              const float* grow = gout + static_cast<size_t>(t) * filters;
-              float* gxdst = gxv + static_cast<size_t>(t + w_lo - half) * dim;
-              for (int k = row_begin[t]; k < row_begin[t + 1]; ++k) {
-                const int f = nz_filter[k];
-                kernels.axpy(grow[f],
-                             wv + static_cast<size_t>(f) * inner +
-                                 static_cast<size_t>(w_lo) * dim,
-                             gxdst, static_cast<size_t>(w_hi - w_lo) * dim);
+            for (int s = segments.Find(src_hi - 1);
+                 s >= 0 && segments.end(s) > src_lo; --s) {
+              const int first = segments.begin(s);
+              const int seg_time = segments.end(s) - first;
+              const int lo =
+                  static_cast<int>(std::max<int64_t>(src_lo, first)) - first;
+              const int hi = static_cast<int>(std::min<int64_t>(
+                                 src_hi, first + seg_time)) -
+                             first;
+              for (int t = std::max(0, lo - half);
+                   t < std::min(seg_time, hi + half); ++t) {
+                const int w_lo = std::max(0, lo - t + half);
+                const int w_hi = std::min(window, hi - t + half);
+                const int row = first + t;
+                const float* grow = gout + static_cast<size_t>(row) * filters;
+                float* gxdst =
+                    gxv + static_cast<size_t>(row + w_lo - half) * dim;
+                for (int k = row_begin[row]; k < row_begin[row + 1]; ++k) {
+                  const int f = nz_filter[k];
+                  kernels.axpy(grow[f],
+                               wv + static_cast<size_t>(f) * inner +
+                                   static_cast<size_t>(w_lo) * dim,
+                               gxdst, static_cast<size_t>(w_hi - w_lo) * dim);
+                }
               }
             }
           };
@@ -1149,6 +1344,20 @@ Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
           }
         }
       });
+}
+
+}  // namespace
+
+Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                  int window) {
+  return ConvSegments(x, weight, bias, window, {});
+}
+
+Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                  int window, const std::vector<int>& offsets) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  return ConvSegments(x, weight, bias, window, offsets);
 }
 
 }  // namespace imr::tensor

@@ -4,6 +4,19 @@
 //
 // Conventions: rank-2 tensors are row-major [rows x cols]; a "row vector"
 // argument may be rank-1 [C]. Sentence encoders treat rows as time steps.
+//
+// Segments: a batch of sentences travels as one rank-2 tensor whose rows
+// are the sentences' rows one after another. `offsets` (S + 1 entries,
+// offsets[0] == 0, strictly ascending, offsets[S] == rows) puts segment s
+// at rows [offsets[s], offsets[s + 1]). A segmented op computes each
+// segment with the arithmetic its one-segment form applies to that
+// sentence alone, so every output row has the per-sentence bits. Its
+// backward walks the segments last to first, each with the one-segment
+// loops: that is the order in which a graph with one op per sentence,
+// joined by ConcatRows, fires its backward closures (reverse topological
+// order reaches the last sentence first). Where segments add into the same
+// gradient (a table row gathered by several sentences, the conv weight and
+// bias), the sums therefore keep their bits.
 #ifndef IMR_TENSOR_OPS_H_
 #define IMR_TENSOR_OPS_H_
 
@@ -29,13 +42,26 @@ Tensor Scale(const Tensor& a, float s);
 Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& s);
 /// c = a + s.
 Tensor AddScalar(const Tensor& a, float s);
+/// Row by row for a rank-2 tensor, so each row has the bits of Tanh over
+/// that row alone on every backend.
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
 
 /// Inverted dropout: zeroes with probability p and scales kept values by
-/// 1/(1-p). Identity when `training` is false or p == 0.
+/// 1/(1-p). Identity when `training` is false or p == 0. Draws the mask with
+/// DrawDropoutMask and applies it with the mask overload.
 Tensor Dropout(const Tensor& a, float p, util::Rng* rng, bool training);
+
+/// Fills mask[0, n) with one rng->Bernoulli(p) draw per entry in order: 0
+/// when it comes up true, 1/(1-p) otherwise. Requires 0 < p < 1.
+void DrawDropoutMask(float p, util::Rng* rng, float* mask, size_t n);
+
+/// out = a * mask elementwise. `mask` has a.size() floats from the buffer
+/// pool (internal::AcquireBuffer); the op returns it to the pool when the
+/// node dies. Lets a caller draw a batch's masks in another order than the
+/// op runs in.
+Tensor Dropout(const Tensor& a, std::vector<float>&& mask);
 
 // ---- linear algebra ----
 
@@ -86,12 +112,22 @@ Tensor ConcatCols(const std::vector<Tensor>& parts);
 /// Extracts row r of a rank-2 tensor as a rank-1 vector.
 Tensor Row(const Tensor& x, int r);
 
+/// Rows [start, start + count) of a rank-2 tensor -> [count x C].
+Tensor SliceRows(const Tensor& x, int start, int count);
+
 /// Extracts v[start, start+len) of a rank-1 vector.
 Tensor Slice(const Tensor& v, int start, int len);
 
 /// Embedding lookup: rows of `table` [V x D] at `indices` -> [N x D].
-/// Gradients scatter-add into the table.
+/// Gradients scatter-add into the table. The one-segment case of the
+/// segmented form below.
 Tensor GatherRows(const Tensor& table, const std::vector<int>& indices);
+
+/// Segmented lookup: `offsets` splits `indices` into segments (see the
+/// file comment). The forward is one gather; the backward adds segment by
+/// segment, last to first, indices ascending within a segment.
+Tensor GatherRows(const Tensor& table, const std::vector<int>& indices,
+                  const std::vector<int>& offsets);
 
 // ---- reductions ----
 
@@ -103,9 +139,16 @@ Tensor MeanRows(const Tensor& x);     // [T x C] -> [C]
 Tensor MaxOverRows(const Tensor& x);
 
 /// Piecewise max pooling (Zeng et al. 2015): rows are split into three
-/// segments [0, b1), [b1, b2), [b2, T) and max-pooled per column, giving
-/// [3*C]. Empty segments contribute zeros. Requires 0 <= b1 <= b2 <= T.
+/// pieces [0, b1), [b1, b2), [b2, T) and max-pooled per column, giving
+/// [3*C]. Empty pieces contribute zeros. Requires 0 <= b1 <= b2 <= T. The
+/// one-segment case of the segmented form below.
 Tensor PiecewiseMaxOverRows(const Tensor& x, int b1, int b2);
+
+/// Segmented piecewise max pooling -> [S x 3*C]: row s pools segment s of
+/// x at its own bounds, splits[2s] and splits[2s + 1], counted from the
+/// segment's first row. The backward walks segments last to first.
+Tensor PiecewiseMaxOverRows(const Tensor& x, const std::vector<int>& offsets,
+                            const std::vector<int>& splits);
 
 // ---- softmax & losses ----
 
@@ -121,9 +164,16 @@ Tensor CrossEntropyLoss(const Tensor& logits, const std::vector<int>& labels);
 
 /// 1-D convolution over time with "same" zero padding.
 ///   x: [T x D], weight: [F x (window*D)], bias: [F] -> [T x F].
-/// Window must be odd. Filter f at time t sees rows t-w/2 .. t+w/2.
+/// Window must be odd. Filter f at time t sees rows t-w/2 .. t+w/2. The
+/// one-segment case of the segmented form below.
 Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
                   int window);
+
+/// Segmented convolution: each segment of x is convolved on its own, with
+/// zero padding at its edges, and the weights are packed once for all of
+/// them. The backward walks segments last to first.
+Tensor Conv1dSame(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                  int window, const std::vector<int>& offsets);
 
 }  // namespace imr::tensor
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 
 #include "tensor/buffer_pool.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace imr::tensor {
 
@@ -22,7 +24,7 @@ std::atomic<uint64_t> g_sparse_dense_fallbacks{0};
 // [r*cols, (r+1)*cols) span zeroed — used by sink entries whose storage is
 // handed over dirty. O(k log t) searches plus O(t) per actual insert; both
 // t and k are batch-touch-rate sized, never vocab sized.
-void RecordRows(std::vector<int>* set, const std::vector<int>& rows,
+void RecordRows(std::vector<int>* set, std::span<const int> rows,
                 float* buffer, int cols) {
   for (int row : rows) {
     auto it = std::lower_bound(set->begin(), set->end(), row);
@@ -405,31 +407,243 @@ std::vector<float>* ScopedGradSink::BufferForRows(
   return &entry.grad;
 }
 
-void ScopedGradSink::MergeIntoShared() {
-  for (Entry& entry : entries_) {
-    if (!entry.live) continue;
-    entry.impl->EnsureGrad();
-    float* dst = entry.impl->grad.data();
-    const float* src = entry.grad.data();
-    if (entry.row_sparse) {
-      // Touched rows merge in ascending order. Each element still receives
-      // its per-sink contributions in the same ascending-chunk order as a
-      // dense merge — the skipped rows would only have added +0.0f — so
-      // the merged floats are bit-identical at any thread count.
-      const int cols = entry.impl->shape[1];
-      for (int row : entry.touched_rows) {
-        const size_t off = static_cast<size_t>(row) * cols;
-        for (int c = 0; c < cols; ++c) dst[off + c] += src[off + c];
-      }
-      if (!entry.impl->grad_dense) {
-        RecordRows(&entry.impl->touched_rows, entry.touched_rows,
-                   /*buffer=*/nullptr, /*cols=*/0);
-      }
-    } else {
-      const size_t n = entry.grad.size();
-      for (size_t i = 0; i < n; ++i) dst[i] += src[i];
-      MarkGradDense(entry.impl.get());
+namespace {
+
+using Entry = ScopedGradSink::Entry;
+
+// MergeIntoShared's float adds: a block of at most this many destination
+// floats per part (one sink's contribution) is one unit of pool work, and a
+// merge with fewer adds than kMergeParallelAdds runs on the calling thread
+// (about the cost of a pool handoff).
+constexpr size_t kMergeBlockAdds = size_t{1} << 14;
+constexpr size_t kMergeParallelAdds = size_t{1} << 15;
+
+// One leaf of a merge: the entries that touched it, one per sink, sit at
+// parts[first, first + count) in ascending sink order. Without a dense
+// entry, union_rows[rows_begin, rows_end) is the sorted union of the
+// entries' touched rows.
+struct MergeLeaf {
+  TensorImpl* impl;
+  size_t first;
+  size_t count;
+  bool any_dense;
+  size_t rows_begin;
+  size_t rows_end;
+};
+
+// One unit of the float adds for leaves[leaf]: destination elements
+// [lo, hi) (whole rows of a row-sparse-capable leaf) when the leaf has a
+// dense entry, union_rows positions [lo, hi) otherwise.
+struct MergeBlock {
+  size_t leaf;
+  size_t lo;
+  size_t hi;
+};
+
+// A sorted row list being merged by UnionRows.
+struct RowCursor {
+  int row;
+  size_t part;
+  size_t pos;
+};
+
+// The merge's tables, kept per thread and reused so a steady-state merge
+// allocates nothing.
+struct MergeScratch {
+  std::vector<MergeLeaf> leaves;
+  std::vector<const Entry*> parts;
+  std::vector<int> union_rows;
+  std::vector<RowCursor> heap;
+  std::vector<MergeBlock> blocks;
+};
+
+MergeScratch& ThreadMergeScratch() {
+  thread_local MergeScratch scratch;
+  return scratch;
+}
+
+// Appends the sorted union of parts[0, count)'s touched-row lists (each
+// sorted-unique) to m->union_rows: a k-way merge on a min-heap.
+void UnionRows(const Entry* const* parts, size_t count, MergeScratch* m) {
+  const auto later = [](const RowCursor& a, const RowCursor& b) {
+    return a.row > b.row;
+  };
+  m->heap.clear();
+  for (size_t p = 0; p < count; ++p) {
+    if (!parts[p]->touched_rows.empty()) {
+      m->heap.push_back({parts[p]->touched_rows[0], p, 0});
     }
+  }
+  std::make_heap(m->heap.begin(), m->heap.end(), later);
+  const size_t start = m->union_rows.size();
+  while (!m->heap.empty()) {
+    std::pop_heap(m->heap.begin(), m->heap.end(), later);
+    RowCursor& next = m->heap.back();
+    if (m->union_rows.size() == start || m->union_rows.back() != next.row) {
+      m->union_rows.push_back(next.row);
+    }
+    const std::vector<int>& rows = parts[next.part]->touched_rows;
+    if (++next.pos < rows.size()) {
+      next.row = rows[next.pos];
+      std::push_heap(m->heap.begin(), m->heap.end(), later);
+    } else {
+      m->heap.pop_back();
+    }
+  }
+}
+
+// Splits `units` units of `unit_floats` destination floats, each taking
+// `parts` contributions, into blocks of about kMergeBlockAdds adds.
+// Returns the adds (an upper bound for sparse parts).
+size_t AddBlocks(size_t leaf, size_t units, size_t unit_floats, size_t parts,
+                 size_t scale, std::vector<MergeBlock>* blocks) {
+  const size_t per_unit = std::max<size_t>(1, unit_floats * parts);
+  const size_t units_per_block = std::max<size_t>(1, kMergeBlockAdds / per_unit);
+  for (size_t lo = 0; lo < units; lo += units_per_block) {
+    blocks->push_back(
+        {leaf, lo * scale, std::min(units, lo + units_per_block) * scale});
+  }
+  return units * per_unit;
+}
+
+// Adds row `row` of `src` into `dst`.
+inline void AddRow(const float* src, float* dst, int row, size_t cols) {
+  const size_t off = static_cast<size_t>(row) * cols;
+  for (size_t c = 0; c < cols; ++c) dst[off + c] += src[off + c];
+}
+
+void RunMergeBlock(const MergeScratch& m, const MergeBlock& block) {
+  const MergeLeaf& leaf = m.leaves[block.leaf];
+  float* dst = leaf.impl->grad.data();
+  const Entry* const* parts = m.parts.data() + leaf.first;
+  const size_t cols =
+      leaf.impl->row_sparse ? static_cast<size_t>(leaf.impl->shape[1]) : 1;
+  if (leaf.any_dense) {
+    const int row_lo = static_cast<int>(block.lo / cols);
+    const int row_hi = static_cast<int>(block.hi / cols);
+    for (size_t p = 0; p < leaf.count; ++p) {
+      const Entry& entry = *parts[p];
+      const float* src = entry.grad.data();
+      if (!entry.row_sparse) {
+        for (size_t i = block.lo; i < block.hi; ++i) dst[i] += src[i];
+        continue;
+      }
+      const std::vector<int>& rows = entry.touched_rows;
+      for (auto it = std::lower_bound(rows.begin(), rows.end(), row_lo);
+           it != rows.end() && *it < row_hi; ++it) {
+        AddRow(src, dst, *it, cols);
+      }
+    }
+    return;
+  }
+  // Union positions [lo, hi) cover rows [first_row, last_row]; each entry
+  // adds its touched rows in that range.
+  const int first_row = m.union_rows[leaf.rows_begin + block.lo];
+  const int last_row = m.union_rows[leaf.rows_begin + block.hi - 1];
+  for (size_t p = 0; p < leaf.count; ++p) {
+    const Entry& entry = *parts[p];
+    const std::vector<int>& rows = entry.touched_rows;
+    for (auto it = std::lower_bound(rows.begin(), rows.end(), first_row);
+         it != rows.end() && *it <= last_row; ++it) {
+      AddRow(entry.grad.data(), dst, *it, cols);
+    }
+  }
+}
+
+}  // namespace
+
+void ScopedGradSink::MergeIntoShared(
+    std::span<const std::unique_ptr<ScopedGradSink>> sinks) {
+  MergeScratch& m = ThreadMergeScratch();
+  m.leaves.clear();
+  m.union_rows.clear();
+  m.blocks.clear();
+  // Group the live entries by leaf, in sink order, creating each shared
+  // grad in the order the one-by-one merges did.
+  for (const std::unique_ptr<ScopedGradSink>& sink : sinks) {
+    IMR_CHECK(!sink->active_);
+    for (const Entry& entry : sink->entries_) {
+      if (!entry.live) continue;
+      TensorImpl* impl = entry.impl.get();
+      impl->EnsureGrad();
+      if (impl->merge_slot < 0) {
+        impl->merge_slot = static_cast<int>(m.leaves.size());
+        m.leaves.push_back({impl, 0, 0, false, 0, 0});
+      }
+      MergeLeaf& leaf = m.leaves[static_cast<size_t>(impl->merge_slot)];
+      ++leaf.count;
+      leaf.any_dense |= !entry.row_sparse;
+    }
+  }
+  size_t total_parts = 0;
+  for (MergeLeaf& leaf : m.leaves) {
+    leaf.first = total_parts;
+    total_parts += leaf.count;
+    leaf.count = 0;
+  }
+  m.parts.resize(total_parts);
+  for (const std::unique_ptr<ScopedGradSink>& sink : sinks) {
+    for (const Entry& entry : sink->entries_) {
+      if (!entry.live) continue;
+      MergeLeaf& leaf =
+          m.leaves[static_cast<size_t>(entry.impl->merge_slot)];
+      m.parts[leaf.first + leaf.count++] = &entry;
+    }
+  }
+  // Per leaf: the touched-row set and dense marking the one-by-one merges
+  // would leave, and the blocks of its float adds.
+  size_t adds = 0;
+  for (size_t l = 0; l < m.leaves.size(); ++l) {
+    MergeLeaf& leaf = m.leaves[l];
+    TensorImpl* impl = leaf.impl;
+    impl->merge_slot = -1;
+    const Entry* const* parts = m.parts.data() + leaf.first;
+    if (leaf.any_dense) {
+      // A dense entry (a fallback) among them: row-sparse entries before it
+      // still record their rows, and it marks the gradient dense. Rare, so
+      // it keeps the one-by-one bookkeeping.
+      for (size_t p = 0; p < leaf.count; ++p) {
+        if (!parts[p]->row_sparse) {
+          MarkGradDense(impl);
+        } else if (!impl->grad_dense) {
+          RecordRows(&impl->touched_rows, parts[p]->touched_rows,
+                     /*buffer=*/nullptr, /*cols=*/0);
+        }
+      }
+      const size_t cols =
+          impl->row_sparse ? static_cast<size_t>(impl->shape[1]) : 1;
+      adds += AddBlocks(l, impl->grad.size() / cols, cols, leaf.count, cols,
+                        &m.blocks);
+      continue;
+    }
+    leaf.rows_begin = m.union_rows.size();
+    UnionRows(parts, leaf.count, &m);
+    leaf.rows_end = m.union_rows.size();
+    const std::span<const int> rows(m.union_rows.data() + leaf.rows_begin,
+                                    leaf.rows_end - leaf.rows_begin);
+    if (!impl->grad_dense) {
+      // Usually empty here (ZeroGrad ran); FGSM's second pass merges on top
+      // of the first pass's rows.
+      if (impl->touched_rows.empty()) {
+        impl->touched_rows.assign(rows.begin(), rows.end());
+      } else {
+        RecordRows(&impl->touched_rows, rows, /*buffer=*/nullptr, /*cols=*/0);
+      }
+    }
+    adds += AddBlocks(l, leaf.rows_end - leaf.rows_begin,
+                      static_cast<size_t>(impl->shape[1]), leaf.count, 1,
+                      &m.blocks);
+  }
+  const auto run = [&m](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) {
+      RunMergeBlock(m, m.blocks[static_cast<size_t>(b)]);
+    }
+  };
+  const int64_t blocks = static_cast<int64_t>(m.blocks.size());
+  if (adds >= kMergeParallelAdds && blocks >= 2) {
+    util::GlobalPool().ParallelFor(0, blocks, 1, run);
+  } else {
+    run(0, blocks);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,8 +49,12 @@ struct TensorImpl {
   // replay deferred per-row updates exactly when a stale row becomes
   // visible again, which keeps sparse training trajectories bit-identical
   // to dense ones. Must be idempotent and safe to call concurrently from
-  // data-parallel forward passes (the installer provides its own locking).
+  // data-parallel forward passes (the installer synchronizes the rows).
   std::function<void(const std::vector<int>&)> row_materializer;
+  // This leaf's index in the table of a running
+  // ScopedGradSink::MergeIntoShared; -1 outside a merge. Lets the merge
+  // group the sinks' entries by leaf without a hash map.
+  int merge_slot = -1;
 
   TensorImpl() = default;
   // Returns value/grad storage to the destroying thread's buffer pool.
@@ -200,12 +205,13 @@ Tensor MakeResult(std::vector<int> shape, std::vector<float> value,
 /// no backward_fn) into a private per-sink buffer instead of the shared
 /// TensorImpl::grad. Intermediate nodes are created per-thread during a
 /// data-parallel forward pass, so their member grad is already private and
-/// stays in use. After the parallel region the caller merges sinks into the
-/// shared grads sequentially (in a fixed order, keeping float accumulation
-/// deterministic for a fixed chunk count). A sink can serve step after
-/// step: Reset() after the merge and Activate() on whichever thread runs
-/// the next chunk, and its per-leaf buffers are reused rather than
-/// allocated again.
+/// stays in use. After the parallel region the caller merges all sinks
+/// into the shared grads with one MergeIntoShared call: every element takes
+/// its per-sink contributions in ascending sink order, keeping float
+/// accumulation deterministic for a fixed chunk count. A sink can serve
+/// step after step: Reset() after the merge and Activate() on whichever
+/// thread runs the next chunk, and its per-leaf buffers are reused rather
+/// than allocated again.
 class ScopedGradSink {
  public:
   /// Installs the sink on the constructing thread.
@@ -248,15 +254,20 @@ class ScopedGradSink {
   /// since the last Reset() have live == false).
   const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Adds the buffered gradients into the shared impl->grad fields. Call
-  /// after the sink is deactivated (destructor ran) or from the owning
-  /// thread outside any backward pass; not thread-safe across sinks.
-  /// Row-sparse entries merge (and record into the shared tensor's
-  /// touched-row set) only their touched rows, in ascending row order;
-  /// because each element still receives its per-sink contributions in the
-  /// same ascending-chunk merge order as the dense path, data-parallel
-  /// training stays bit-identical at any thread count.
-  void MergeIntoShared();
+  /// Adds the gradients buffered in `sinks` into the shared impl->grad
+  /// fields: each element receives its contributions in ascending sink
+  /// order, the sequence of merging the sinks one after another, so
+  /// data-parallel training stays bit-identical at any thread count.
+  /// Row-sparse entries add only their touched rows, and the shared tensor's
+  /// touched-row set becomes the sorted union it would have after those
+  /// one-by-one merges (a dense entry marks the gradient dense from there
+  /// on). The bookkeeping — EnsureGrad in sink then first-touch order,
+  /// dense marking, the touched-row union — runs on the calling thread; the
+  /// float adds then run as element or row blocks on the global pool, each
+  /// block owning its destination elements. Call with every sink inactive,
+  /// outside any backward pass, from one thread at a time.
+  static void MergeIntoShared(
+      std::span<const std::unique_ptr<ScopedGradSink>> sinks);
 
  private:
   friend std::vector<float>* GradTarget(const std::shared_ptr<TensorImpl>&);

@@ -430,8 +430,9 @@ TEST(BufferPoolTest, ZeroMissSequentialPaModelStep) {
 TEST(BufferPoolTest, ZeroMissDataParallelPaModelStep) {
   // Three warm-up and five measured Trainer epochs of one batch each on
   // four global threads.
-  const bench::PaStepResult result = bench::RunDataParallelPaStep(
-      GetPaSetup(), GetPaSetup().same_shape_batch, /*warmup_epochs=*/3);
+  const bench::PaStepResult result =
+      bench::RunPaStep(GetPaSetup(), GetPaSetup().same_shape_batch,
+                       /*warmup_epochs=*/3, /*threads=*/4);
   ASSERT_EQ(result.pooled_after.size(), 5u);
   for (uint64_t bytes : result.pooled_after) {
     EXPECT_EQ(bytes, result.pooled_at_warmup);

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/encoders.h"
@@ -10,6 +14,7 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "tensor/ops.h"
+#include "tensor/simd/dispatch.h"
 
 namespace imr::nn {
 namespace {
@@ -324,6 +329,137 @@ TEST(EncoderDropoutTest, TrainingDropsValues) {
   int eval_zeros = 0;
   for (float v : eval_out.data()) eval_zeros += (v == 0.0f);
   EXPECT_LT(eval_zeros, zeros);
+}
+
+// Bit patterns, so -0.0f against +0.0f (or a NaN payload) is a difference.
+std::vector<uint32_t> Bits(const float* values, size_t n) {
+  std::vector<uint32_t> bits(n);
+  for (size_t i = 0; i < n; ++i) bits[i] = std::bit_cast<uint32_t>(values[i]);
+  return bits;
+}
+
+std::vector<uint32_t> Bits(const std::vector<float>& values) {
+  return Bits(values.data(), values.size());
+}
+
+// Sentences of 1 to 40 tokens whose words come from a small vocabulary, so
+// many words appear in three or more sentences; every third has its head
+// and tail on the same token.
+std::vector<EncoderInput> RandomSentences(util::Rng* rng, int count,
+                                          int vocab, int max_position) {
+  std::vector<EncoderInput> sentences;
+  for (int s = 0; s < count; ++s) {
+    const int time = s == 0   ? 1
+                     : s == 1 ? 40
+                              : 1 + static_cast<int>(rng->UniformInt(40));
+    EncoderInput input;
+    for (int t = 0; t < time; ++t) {
+      input.word_ids.push_back(2 + static_cast<int>(rng->UniformInt(
+                                       static_cast<uint64_t>(vocab - 2))));
+    }
+    input.head_index = static_cast<int>(rng->UniformInt(time));
+    input.tail_index = s % 3 == 0
+                           ? input.head_index
+                           : static_cast<int>(rng->UniformInt(time));
+    for (int t = 0; t < time; ++t) {
+      input.head_offsets.push_back(
+          std::clamp(t - input.head_index, -max_position, max_position) +
+          max_position);
+      input.tail_offsets.push_back(
+          std::clamp(t - input.tail_index, -max_position, max_position) +
+          max_position);
+    }
+    sentences.push_back(std::move(input));
+  }
+  return sentences;
+}
+
+// Every parameter gradient of `encoder`, then its tables' touched rows.
+std::vector<std::vector<uint32_t>> GradientBits(Module* module) {
+  std::vector<std::vector<uint32_t>> out;
+  for (NamedParameter& p : module->Parameters()) {
+    out.push_back(Bits(p.tensor.grad()));
+    std::vector<uint32_t> rows;
+    for (int r : p.tensor.grad_touched_rows()) {
+      rows.push_back(static_cast<uint32_t>(r));
+    }
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+// EncodeBatch's row s must be Encode(sentence s) bit for bit on every
+// backend: without grad in eval mode, and with grad in training mode with
+// dropout and word dropout, where the gradients of one backward through the
+// batch must equal those through per-sentence Encodes joined by ConcatRows.
+TEST(PcnnEncoderTest, EncodeBatchMatchesEncodeBitForBit) {
+  struct Dims {
+    int word;
+    int position;
+    int filters;
+  };
+  // Benchmark dims, Table III dims and an odd filter count.
+  for (const Dims& dims : {Dims{16, 3, 32}, Dims{50, 5, 230},
+                           Dims{16, 3, 13}}) {
+    EncoderConfig config;
+    config.vocab_size = 12;
+    config.word_dim = dims.word;
+    config.position_dim = dims.position;
+    config.max_position = 20;
+    config.filters = dims.filters;
+    config.dropout = 0.5f;
+    config.word_dropout = 0.25f;
+    util::Rng init(31);
+    PcnnEncoder encoder(config, &init);
+    util::Rng data(41);
+    const std::vector<EncoderInput> sentences =
+        RandomSentences(&data, 9, config.vocab_size, config.max_position);
+    std::vector<const EncoderInput*> inputs;
+    for (const EncoderInput& sentence : sentences) inputs.push_back(&sentence);
+    const int out_dim = encoder.output_dim();
+    std::vector<float> weights(sentences.size() * out_dim);
+    for (float& w : weights) w = static_cast<float>(data.Normal());
+    const Tensor loss_weights = Tensor::FromData(
+        {static_cast<int>(sentences.size()), out_dim}, weights);
+
+    for (tensor::simd::Backend backend : tensor::simd::SupportedBackends()) {
+      tensor::simd::ScopedEvalBackend pin(backend);
+      const std::string where =
+          std::string(tensor::simd::BackendName(backend)) +
+          " filters=" + std::to_string(dims.filters);
+      {
+        encoder.SetTraining(false);
+        tensor::NoGradGuard no_grad;
+        const Tensor batch = encoder.EncodeBatch(inputs, nullptr);
+        ASSERT_EQ(batch.rows(), static_cast<int>(sentences.size()));
+        ASSERT_EQ(batch.cols(), out_dim);
+        for (size_t s = 0; s < sentences.size(); ++s) {
+          const Tensor row = encoder.Encode(sentences[s], nullptr);
+          EXPECT_EQ(Bits(batch.data().data() + s * out_dim, out_dim),
+                    Bits(row.data()))
+              << where << " eval sentence " << s;
+        }
+      }
+      encoder.SetTraining(true);
+      encoder.ZeroGrad();
+      util::Rng batch_rng(77);
+      const Tensor batch = encoder.EncodeBatch(inputs, &batch_rng);
+      tensor::Sum(tensor::Mul(batch, loss_weights)).Backward();
+      const auto batch_grads = GradientBits(&encoder);
+
+      encoder.ZeroGrad();
+      util::Rng sentence_rng(77);
+      std::vector<Tensor> rows;
+      for (const EncoderInput& sentence : sentences) {
+        rows.push_back(encoder.Encode(sentence, &sentence_rng));
+      }
+      const Tensor reference = tensor::ConcatRows(rows);
+      tensor::Sum(tensor::Mul(reference, loss_weights)).Backward();
+      EXPECT_EQ(Bits(batch.data()), Bits(reference.data())) << where;
+      EXPECT_EQ(batch_grads, GradientBits(&encoder)) << where;
+      EXPECT_EQ(batch_rng.Next(), sentence_rng.Next()) << where;
+    }
+  }
 }
 
 }  // namespace

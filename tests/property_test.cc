@@ -156,7 +156,9 @@ TEST_P(AliasProperty, EmpiricalMatchesWeights) {
     const double expected = weights[i] / total;
     const double observed = counts[i] / static_cast<double>(draws);
     EXPECT_NEAR(observed, expected, 0.02) << "index " << i;
-    if (weights[i] == 0.0) EXPECT_EQ(counts[i], 0);
+    if (weights[i] == 0.0) {
+      EXPECT_EQ(counts[i], 0);
+    }
   }
 }
 
@@ -231,8 +233,9 @@ TEST_P(PositionProperty, IdsWithinRangeAndMonotone) {
   for (int t = 0; t < n; ++t) {
     EXPECT_GE(ids[static_cast<size_t>(t)], 0);
     EXPECT_LE(ids[static_cast<size_t>(t)], 2 * max_pos);
-    if (t > 0) EXPECT_GE(ids[static_cast<size_t>(t)],
-                         ids[static_cast<size_t>(t - 1)]);
+    if (t > 0) {
+      EXPECT_GE(ids[static_cast<size_t>(t)], ids[static_cast<size_t>(t - 1)]);
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "datagen/presets.h"
 #include "graph/line.h"
@@ -20,6 +23,7 @@
 #include "re/trainer.h"
 #include "tensor/ops.h"
 #include "tensor/simd/dispatch.h"
+#include "tensor/tensor.h"
 
 namespace imr::re {
 namespace {
@@ -272,6 +276,120 @@ TEST(PaModelTest, PredictMatchesPerRelationBagLogitsBitForBit) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// BatchLoss encodes its whole batch with one op per encoder layer. Its
+// gradients must equal, bit for bit, those of the graph BatchLoss built
+// before: per-sentence Encode, one ConcatRows per bag. The batch repeats
+// words across sentences, so table rows, the conv weight and its bias all
+// take contributions from several sentences, whose order must hold. Checked
+// with and without word dropout, on the shared gradients and inside a
+// gradient sink (its touched rows too).
+TEST(PaModelTest, BatchLossGradientsMatchPerSentenceGraphBitForBit) {
+  Fixture& f = SharedFixture();
+  f.AttachMr();
+  std::vector<const Bag*> batch;
+  for (const Bag& bag : f.bags->train_bags()) {
+    if (bag.sentences.size() >= 2 && batch.size() < 4) batch.push_back(&bag);
+  }
+  ASSERT_EQ(batch.size(), 4u);
+  std::map<int, std::set<const nn::EncoderInput*>> sentences_per_word;
+  for (const Bag* bag : batch) {
+    for (const nn::EncoderInput& sentence : bag->sentences) {
+      for (int id : sentence.word_ids) sentences_per_word[id].insert(&sentence);
+    }
+  }
+  size_t most = 0;
+  for (const auto& [id, holders] : sentences_per_word) {
+    most = std::max(most, holders.size());
+  }
+  ASSERT_GE(most, 3u);
+  const auto bits = [](const std::vector<float>& values) {
+    std::vector<uint32_t> out;
+    for (float v : values) out.push_back(std::bit_cast<uint32_t>(v));
+    return out;
+  };
+  for (float word_dropout : {0.0f, 0.25f}) {
+    for (bool in_sink : {false, true}) {
+      PaModelConfig config =
+          f.SmallModelConfig("pcnn", Aggregation::kAttention, true, true);
+      config.encoder_config.word_dropout = word_dropout;
+      config.encoder_config.dropout = 0.5f;
+      util::Rng init(61);
+      PaModel model(config, &init);
+      model.SetTraining(true);
+      struct Run {
+        float loss;
+        std::vector<std::string> names;
+        std::vector<std::vector<uint32_t>> grads;
+        std::vector<std::vector<uint32_t>> touched;
+        std::vector<std::vector<int>> sink_rows;
+      };
+      const auto run = [&](bool batched) {
+        model.ZeroGrad();
+        util::Rng rng(5);
+        std::vector<std::unique_ptr<tensor::internal::ScopedGradSink>> sinks;
+        if (in_sink) {
+          sinks.push_back(
+              std::make_unique<tensor::internal::ScopedGradSink>());
+        }
+        tensor::Tensor loss;
+        if (batched) {
+          loss = model.BatchLoss(batch, &rng);
+        } else {
+          std::vector<tensor::Tensor> encodings;
+          for (const Bag* bag : batch) {
+            std::vector<tensor::Tensor> rows;
+            for (const nn::EncoderInput& sentence : bag->sentences) {
+              rows.push_back(model.encoder().Encode(sentence, &rng));
+            }
+            encodings.push_back(tensor::ConcatRows(rows));
+          }
+          loss = model.BatchLoss(batch, encodings);
+        }
+        loss.Backward();
+        Run result{loss.item(), {}, {}, {}, {}};
+        if (in_sink) {
+          sinks[0]->Deactivate();
+          for (const auto& entry : sinks[0]->entries()) {
+            if (entry.row_sparse) result.sink_rows.push_back(entry.touched_rows);
+          }
+          tensor::internal::ScopedGradSink::MergeIntoShared(sinks);
+        }
+        for (nn::NamedParameter& p : model.Parameters()) {
+          result.names.push_back(p.name);
+          result.grads.push_back(bits(p.tensor.grad()));
+          const std::vector<int>& rows = p.tensor.grad_touched_rows();
+          result.touched.emplace_back(rows.begin(), rows.end());
+        }
+        return result;
+      };
+      const Run batched = run(true);
+      const Run reference = run(false);
+      const std::string where = "word_dropout=" +
+                                std::to_string(word_dropout) +
+                                " sink=" + std::to_string(in_sink);
+      EXPECT_EQ(std::bit_cast<uint32_t>(batched.loss),
+                std::bit_cast<uint32_t>(reference.loss))
+          << where;
+      ASSERT_EQ(batched.grads.size(), reference.grads.size());
+      for (size_t i = 0; i < batched.grads.size(); ++i) {
+        EXPECT_EQ(batched.grads[i], reference.grads[i])
+            << where << " gradient of " << batched.names[i];
+        EXPECT_EQ(batched.touched[i], reference.touched[i])
+            << where << " touched rows of " << batched.names[i];
+      }
+      if (in_sink) {
+        EXPECT_FALSE(batched.sink_rows.empty());
+        // First-touch order differs between the graphs; compare as sets.
+        std::vector<std::vector<int>> a = batched.sink_rows;
+        std::vector<std::vector<int>> b = reference.sink_rows;
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        EXPECT_EQ(a, b) << where;
       }
     }
   }

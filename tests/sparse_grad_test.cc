@@ -6,7 +6,10 @@
 // fixes (double beta-power Adam bias, in-place Embedding::SetWeights).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -245,7 +248,7 @@ TEST(SparseGradTest, SinkMergeBitIdenticalAcrossThreadCountsAndToDense) {
             labels[i] = static_cast<int>(i % 3);
           RunStep(&model, indices, labels);
         });
-    for (auto& sink : sinks) sink->MergeIntoShared();
+    tensor::internal::ScopedGradSink::MergeIntoShared(sinks);
     struct Result {
       std::vector<float> grad;
       std::vector<int> touched;
@@ -268,6 +271,187 @@ TEST(SparseGradTest, SinkMergeBitIdenticalAcrossThreadCountsAndToDense) {
   // The merged touched set is the sorted union of the chunks' rows.
   EXPECT_EQ(sparse2.touched,
             (std::vector<int>{1, 2, 3, 5, 6, 7, 8, 9, 14, 17, 22, 29}));
+}
+
+// Bit patterns of every parameter, so -0.0f and +0.0f differ.
+std::vector<std::vector<uint32_t>> ParamBits(nn::Module* module) {
+  std::vector<std::vector<uint32_t>> bits;
+  for (const std::vector<float>& values : ParamValues(module)) {
+    std::vector<uint32_t> row;
+    for (float v : values) row.push_back(std::bit_cast<uint32_t>(v));
+    bits.push_back(std::move(row));
+  }
+  return bits;
+}
+
+TEST(SparseGradTest, ConcurrentLazyAdamReplayMatchesSequential) {
+  // Four pool threads fire Adam's row-replay hook at once, on overlapping
+  // rows (and duplicates), after rounds of steps that skip most rows. The
+  // values after each replay, and after two steps over every row (whose
+  // updates read each row's m and v), must equal the bits of a run that
+  // replays on one thread. The last steps cover enough floats to run
+  // Adam's update blocks on the pool.
+  constexpr int kVocab = 1200;
+  constexpr int64_t kChunks = 4;
+  const int saved_threads = util::GlobalThreads();
+  auto run = [&](int threads) {
+    util::SetGlobalThreads(threads);
+    util::Rng rng(4321);
+    EmbedModel model(kVocab, &rng);
+    nn::Adam adam(&model, 0.05f);
+    std::vector<std::vector<std::vector<uint32_t>>> snapshots;
+    for (int round = 0; round < 3; ++round) {
+      for (int step = 0; step < 12; ++step) {
+        model.ZeroGrad();
+        const std::vector<int> indices =
+            ScheduleIndices(12 * round + step, kVocab);
+        std::vector<int> labels(indices.size());
+        for (size_t i = 0; i < labels.size(); ++i)
+          labels[i] = static_cast<int>((i + step) % 3);
+        RunStep(&model, indices, labels);
+        adam.Step();
+      }
+      util::GlobalPool().ParallelForChunks(
+          0, kChunks, 1, [&](int64_t, int64_t, int64_t chunk) {
+            std::vector<int> rows;
+            for (int k = 0; k < kVocab / 2; ++k) {
+              rows.push_back((static_cast<int>(chunk) * (kVocab / 4) + k) %
+                             kVocab);
+            }
+            rows.push_back(rows.front());
+            tensor::NoGradGuard no_grad;
+            tensor::GatherRows(model.embed.table(), rows);
+          });
+      snapshots.push_back(ParamBits(&model));
+    }
+    std::vector<int> all(kVocab);
+    for (int r = 0; r < kVocab; ++r) all[static_cast<size_t>(r)] = r;
+    std::vector<int> labels(all.size());
+    for (size_t i = 0; i < labels.size(); ++i)
+      labels[i] = static_cast<int>(i % 3);
+    for (int step = 0; step < 2; ++step) {
+      model.ZeroGrad();
+      RunStep(&model, all, labels);
+      adam.Step();
+    }
+    snapshots.push_back(ParamBits(&model));
+    return snapshots;
+  };
+  const auto sequential = run(1);
+  const auto concurrent = run(4);
+  util::SetGlobalThreads(saved_threads);
+  ASSERT_EQ(sequential.size(), concurrent.size());
+  for (size_t i = 0; i < sequential.size(); ++i) {
+    EXPECT_EQ(sequential[i], concurrent[i]) << "snapshot " << i;
+  }
+}
+
+TEST(SparseGradTest, SixteenSinkMergeMatchesOneByOneMerges) {
+  // One MergeIntoShared over 16 sinks filled on pool threads: a dense
+  // matrix and bias in every sink, two tables with overlapping touched
+  // rows, and one dense fallback (table b in sink 9). Its bits, touched
+  // rows and sparsity flags must equal merging the sinks one at a time, at
+  // four threads (the adds then run on the pool) and at one. Contributions
+  // span many binades, so any change in summation order shows in the bits.
+  constexpr int64_t kSinks = 16;
+  constexpr int kFallbackSink = 9;
+  const int saved_threads = util::GlobalThreads();
+  util::SetGlobalThreads(4);
+  util::Rng init(99);
+  auto leaf = [&](std::vector<int> shape) {
+    Tensor t = nn::UniformInit(std::move(shape), 1.0f, &init);
+    t.set_requires_grad(true);
+    return t;
+  };
+  Tensor dense = leaf({64, 96});
+  Tensor bias = leaf({96});
+  Tensor table_a = leaf({300, 8});
+  Tensor table_b = leaf({200, 8});
+  table_a.set_row_sparse_grad(true);
+  table_b.set_row_sparse_grad(true);
+  auto scaled = [](util::Rng* rng, std::vector<int> shape) {
+    size_t n = 1;
+    for (int d : shape) n *= static_cast<size_t>(d);
+    std::vector<float> values(n);
+    for (float& v : values) {
+      v = std::ldexp(static_cast<float>(rng->Normal()),
+                     static_cast<int>(rng->UniformInt(40)) - 20);
+    }
+    return Tensor::FromData(std::move(shape), std::move(values));
+  };
+  std::vector<std::unique_ptr<tensor::internal::ScopedGradSink>> sinks(
+      static_cast<size_t>(kSinks));
+  std::vector<std::vector<int>> rows_a(static_cast<size_t>(kSinks));
+  util::GlobalPool().ParallelForChunks(
+      0, kSinks, 1, [&](int64_t, int64_t, int64_t chunk) {
+        const auto c = static_cast<size_t>(chunk);
+        sinks[c] = std::make_unique<tensor::internal::ScopedGradSink>();
+        struct Guard {
+          tensor::internal::ScopedGradSink* sink;
+          ~Guard() { sink->Deactivate(); }
+        } guard{sinks[c].get()};
+        util::Rng rng(1000 + c);
+        std::vector<int> rows_b;
+        for (int k = 0; k < 40; ++k) {
+          rows_a[c].push_back(static_cast<int>(10 * chunk) +
+                              static_cast<int>(rng.UniformInt(120)));
+          rows_b.push_back(static_cast<int>(rng.UniformInt(200)));
+        }
+        Tensor loss = tensor::Add(
+            tensor::Sum(tensor::Mul(dense, scaled(&rng, {64, 96}))),
+            tensor::Sum(tensor::Mul(bias, scaled(&rng, {96}))));
+        loss = tensor::Add(
+            loss, tensor::Sum(tensor::Mul(tensor::GatherRows(table_a, rows_a[c]),
+                                          scaled(&rng, {40, 8}))));
+        loss = tensor::Add(
+            loss, tensor::Sum(tensor::Mul(tensor::GatherRows(table_b, rows_b),
+                                          scaled(&rng, {40, 8}))));
+        if (chunk == kFallbackSink) {
+          loss = tensor::Add(
+              loss, tensor::Sum(tensor::Mul(table_b, scaled(&rng, {200, 8}))));
+        }
+        loss.Backward();
+      });
+  struct Merged {
+    std::vector<std::vector<uint32_t>> grads;
+    std::vector<std::vector<int>> touched;
+    std::vector<bool> sparse;
+  };
+  const std::vector<Tensor*> leaves = {&dense, &bias, &table_a, &table_b};
+  auto merged = [&](const std::function<void()>& merge) {
+    for (Tensor* t : leaves) t->ZeroGrad();
+    merge();
+    Merged out;
+    for (Tensor* t : leaves) {
+      std::vector<uint32_t> bits;
+      for (float v : t->grad()) bits.push_back(std::bit_cast<uint32_t>(v));
+      out.grads.push_back(std::move(bits));
+      out.touched.push_back(t->grad_touched_rows());
+      out.sparse.push_back(t->grad_is_row_sparse());
+    }
+    return out;
+  };
+  using Sink = tensor::internal::ScopedGradSink;
+  const Merged one_by_one = merged([&] {
+    for (const auto& sink : sinks) Sink::MergeIntoShared({&sink, 1});
+  });
+  const Merged pooled = merged([&] { Sink::MergeIntoShared(sinks); });
+  util::SetGlobalThreads(1);
+  const Merged inline_adds = merged([&] { Sink::MergeIntoShared(sinks); });
+  util::SetGlobalThreads(saved_threads);
+  for (const Merged* m : {&pooled, &inline_adds}) {
+    EXPECT_EQ(m->grads, one_by_one.grads);
+    EXPECT_EQ(m->touched, one_by_one.touched);
+    EXPECT_EQ(m->sparse, one_by_one.sparse);
+  }
+  std::vector<int> union_a;
+  for (const std::vector<int>& rows : rows_a) {
+    union_a.insert(union_a.end(), rows.begin(), rows.end());
+  }
+  std::sort(union_a.begin(), union_a.end());
+  union_a.erase(std::unique(union_a.begin(), union_a.end()), union_a.end());
+  EXPECT_EQ(pooled.touched[2], union_a);
+  EXPECT_EQ(pooled.sparse, (std::vector<bool>{false, false, true, false}));
 }
 
 TEST(SparseGradTest, GradCheckGatherRowsWithDuplicateIndices) {

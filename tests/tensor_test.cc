@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -532,7 +534,9 @@ TEST(ThreadedKernelsTest, Conv1dSameBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ThreadedKernelsTest, ScopedGradSinkCapturesLeafGrads) {
-  internal::ScopedGradSink sink;
+  std::vector<std::unique_ptr<internal::ScopedGradSink>> sinks;
+  sinks.push_back(std::make_unique<internal::ScopedGradSink>());
+  internal::ScopedGradSink& sink = *sinks[0];
   Tensor a = Tensor::FromData({2, 2}, {1, 2, 3, 4}, true);
   Tensor b = Tensor::FromData({2, 2}, {5, 6, 7, 8}, true);
   Sum(Mul(a, b)).Backward();
@@ -541,7 +545,7 @@ TEST(ThreadedKernelsTest, ScopedGradSinkCapturesLeafGrads) {
   EXPECT_TRUE(a.grad().empty() ||
               a.grad() == std::vector<float>(4, 0.0f));
   ASSERT_EQ(sink.entries().size(), 2u);
-  sink.MergeIntoShared();
+  internal::ScopedGradSink::MergeIntoShared(sinks);
   EXPECT_EQ(a.grad(), b.data());
   EXPECT_EQ(b.grad(), a.data());
 }
