@@ -109,34 +109,58 @@ nn::EncoderInput MakeBenchSentence(int length, util::Rng* rng) {
   return input;
 }
 
+// `state.range(0)` 40-token sentences, passed to EncodeBatch as one span:
+// the call training, Predict and serving make (PCNN runs one op per layer
+// over the span; the other encoders run Encode per sentence). Arg 1 is one
+// sentence, arg 4 a bag.
+std::vector<nn::EncoderInput> MakeBenchSentences(const benchmark::State& state,
+                                                 util::Rng* rng) {
+  std::vector<nn::EncoderInput> sentences;
+  for (int64_t s = 0; s < state.range(0); ++s) {
+    sentences.push_back(MakeBenchSentence(40, rng));
+  }
+  return sentences;
+}
+
+std::vector<const nn::EncoderInput*> Pointers(
+    const std::vector<nn::EncoderInput>& sentences) {
+  std::vector<const nn::EncoderInput*> inputs;
+  for (const nn::EncoderInput& sentence : sentences) inputs.push_back(&sentence);
+  return inputs;
+}
+
 void BM_EncoderForward(benchmark::State& state, const std::string& kind) {
   util::Rng rng(4);
   auto encoder = MakeBenchEncoder(kind, &rng);
   encoder->SetTraining(false);
-  nn::EncoderInput sentence = MakeBenchSentence(40, &rng);
+  const std::vector<nn::EncoderInput> sentences =
+      MakeBenchSentences(state, &rng);
+  const std::vector<const nn::EncoderInput*> inputs = Pointers(sentences);
   tensor::NoGradGuard no_grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder->Encode(sentence, &rng));
+    benchmark::DoNotOptimize(encoder->EncodeBatch(inputs, &rng));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_CAPTURE(BM_EncoderForward, pcnn, "pcnn");
-BENCHMARK_CAPTURE(BM_EncoderForward, cnn, "cnn");
-BENCHMARK_CAPTURE(BM_EncoderForward, gru, "gru");
-BENCHMARK_CAPTURE(BM_EncoderForward, bgwa, "bgwa");
+BENCHMARK_CAPTURE(BM_EncoderForward, pcnn, "pcnn")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(BM_EncoderForward, cnn, "cnn")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(BM_EncoderForward, gru, "gru")->Arg(1)->Arg(4);
+BENCHMARK_CAPTURE(BM_EncoderForward, bgwa, "bgwa")->Arg(1)->Arg(4);
 
 void BM_EncoderTrainStep(benchmark::State& state) {
   util::Rng rng(5);
   auto encoder = MakeBenchEncoder("pcnn", &rng);
-  nn::EncoderInput sentence = MakeBenchSentence(40, &rng);
+  const std::vector<nn::EncoderInput> sentences =
+      MakeBenchSentences(state, &rng);
+  const std::vector<const nn::EncoderInput*> inputs = Pointers(sentences);
   for (auto _ : state) {
     encoder->ZeroGrad();
-    tensor::Tensor out = encoder->Encode(sentence, &rng);
+    tensor::Tensor out = encoder->EncodeBatch(inputs, &rng);
     tensor::Sum(tensor::Mul(out, out)).Backward();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EncoderTrainStep);
+BENCHMARK(BM_EncoderTrainStep)->Arg(1)->Arg(4);
 
 void BM_AliasSampler(benchmark::State& state) {
   util::Rng rng(6);

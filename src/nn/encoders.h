@@ -100,6 +100,9 @@ class PcnnEncoder : public SentenceEncoder {
  public:
   PcnnEncoder(const EncoderConfig& config, util::Rng* rng);
 
+  /// The per-sentence reference: ops of one sentence each. Training,
+  /// Predict and serving call EncodeBatch, whose rows the exactness tests
+  /// (nn_test, re_test) compare against this bit for bit.
   tensor::Tensor Encode(const EncoderInput& input,
                         util::Rng* rng) const override;
   /// One gather per feature table, one ConcatCols, one segmented conv, one

@@ -12,16 +12,13 @@ namespace imr::nn {
 
 namespace {
 
-// A step's updates split into blocks of about this many floats, the pool
-// work unit of RunUpdateBlocks.
+// Adam::Step's updates split into blocks of about this many floats, the
+// pool's unit of work; a step enters the pool only from kAdamParallelFloats
+// floats, about the work a pool handoff costs (a few microseconds) times
+// the thread count at Adam's per-element cost (a square root and three
+// divisions).
 constexpr size_t kStepBlockFloats = 4096;
-// A step enters the pool only from this many floats: about the work a pool
-// handoff costs (a few microseconds) times the thread count, at each
-// update's per-element cost (Adam and Adagrad take a square root and a
-// division per element, SGD a multiply-add).
 constexpr size_t kAdamParallelFloats = size_t{1} << 13;
-constexpr size_t kAdagradParallelFloats = size_t{1} << 13;
-constexpr size_t kSgdParallelFloats = size_t{1} << 16;
 
 // In-place AXPY-style parameter updates. Raw __restrict pointer loops the
 // compiler can vectorise; the float expressions keep the exact association
@@ -116,32 +113,6 @@ Optimizer::Optimizer(Module* module, float learning_rate)
   }
 }
 
-void Optimizer::AddUpdateBlocks(size_t param, UpdateBlock::Kind kind,
-                                size_t units, size_t unit_floats) {
-  const size_t per_block =
-      std::max<size_t>(1, kStepBlockFloats / std::max<size_t>(1, unit_floats));
-  for (size_t lo = 0; lo < units; lo += per_block) {
-    blocks_.push_back({param, kind, lo, std::min(units, lo + per_block)});
-  }
-  block_floats_ += units * unit_floats;
-}
-
-void Optimizer::RunUpdateBlocks(
-    size_t parallel_floats,
-    const std::function<void(const UpdateBlock&)>& update) {
-  const auto run = [&](int64_t lo, int64_t hi) {
-    for (int64_t b = lo; b < hi; ++b) update(blocks_[static_cast<size_t>(b)]);
-  };
-  const int64_t blocks = static_cast<int64_t>(blocks_.size());
-  if (block_floats_ >= parallel_floats && blocks >= 2) {
-    util::GlobalPool().ParallelFor(0, blocks, 1, run);
-  } else {
-    run(0, blocks);
-  }
-  blocks_.clear();
-  block_floats_ = 0;
-}
-
 Sgd::Sgd(Module* module, float learning_rate, float weight_decay,
          float clip_norm)
     : Optimizer(module, learning_rate),
@@ -151,7 +122,6 @@ Sgd::Sgd(Module* module, float learning_rate, float weight_decay,
 void Sgd::Step() {
   float scale = 1.0f;
   if (clip_norm_ > 0.0f) {
-    // Sequential, in parameter order: the double total keeps its bits.
     double total = 0.0;
     for (auto& p : params_) total += GradSquaredSum(p);
     const double norm = std::sqrt(total);
@@ -159,40 +129,27 @@ void Sgd::Step() {
   }
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
-    if (p.grad().empty()) continue;
+    const auto& g = p.grad();
+    if (g.empty()) continue;
+    auto& values = p.mutable_data();
     // Weight decay reads every parameter element, so it is dense-only.
     if (weight_decay_ == 0.0f && p.grad_is_row_sparse()) {
-      const size_t touched = p.grad_touched_rows().size();
-      AddUpdateBlocks(i, UpdateBlock::kTouchedRows, touched,
-                      static_cast<size_t>(p.cols()));
-      NoteConsumption(p, sparse_capable_[i], touched,
+      const size_t cols = static_cast<size_t>(p.cols());
+      const auto& touched = p.grad_touched_rows();
+      for (int r : touched) {
+        const size_t off = static_cast<size_t>(r) * cols;
+        SgdUpdateInPlace(values.data() + off, g.data() + off, cols,
+                         learning_rate_, scale, 0.0f);
+      }
+      NoteConsumption(p, sparse_capable_[i], touched.size(),
                       /*dense_fallback=*/false);
     } else {
-      AddUpdateBlocks(i, UpdateBlock::kElements, p.size(), 1);
+      SgdUpdateInPlace(values.data(), g.data(), values.size(),
+                       learning_rate_, scale, weight_decay_);
       NoteConsumption(p, sparse_capable_[i],
                       static_cast<size_t>(p.rows()), /*dense_fallback=*/true);
     }
-  }
-  const float lr = learning_rate_;
-  const float weight_decay = weight_decay_;
-  RunUpdateBlocks(kSgdParallelFloats, [&](const UpdateBlock& b) {
-    tensor::Tensor& p = params_[b.param];
-    float* values = p.mutable_data().data();
-    const float* g = p.grad().data();
-    if (b.kind == UpdateBlock::kElements) {
-      SgdUpdateInPlace(values + b.lo, g + b.lo, b.hi - b.lo, lr, scale,
-                       weight_decay);
-      return;
-    }
-    const size_t cols = static_cast<size_t>(p.cols());
-    const std::vector<int>& touched = p.grad_touched_rows();
-    for (size_t k = b.lo; k < b.hi; ++k) {
-      const size_t off = static_cast<size_t>(touched[k]) * cols;
-      SgdUpdateInPlace(values + off, g + off, cols, lr, scale, 0.0f);
-    }
-  });
-  for (auto& p : params_) {
-    if (!p.grad().empty()) p.ZeroGrad();
+    p.ZeroGrad();
   }
 }
 
@@ -206,43 +163,29 @@ Adagrad::Adagrad(Module* module, float learning_rate, float epsilon)
 void Adagrad::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
-    if (p.grad().empty()) continue;
+    const auto& g = p.grad();
+    if (g.empty()) continue;
+    auto& values = p.mutable_data();
     // A zero-gradient Adagrad element update is an exact no-op (the
     // accumulator gains +0.0 and the write-back subtracts 0.0), so walking
     // only touched rows is bit-identical to the dense pass.
     if (p.grad_is_row_sparse()) {
-      const size_t touched = p.grad_touched_rows().size();
-      AddUpdateBlocks(i, UpdateBlock::kTouchedRows, touched,
-                      static_cast<size_t>(p.cols()));
-      NoteConsumption(p, sparse_capable_[i], touched,
+      const size_t cols = static_cast<size_t>(p.cols());
+      const auto& touched = p.grad_touched_rows();
+      for (int r : touched) {
+        const size_t off = static_cast<size_t>(r) * cols;
+        AdagradUpdateInPlace(values.data() + off, accum_[i].data() + off,
+                             g.data() + off, cols, learning_rate_, epsilon_);
+      }
+      NoteConsumption(p, sparse_capable_[i], touched.size(),
                       /*dense_fallback=*/false);
     } else {
-      AddUpdateBlocks(i, UpdateBlock::kElements, p.size(), 1);
+      AdagradUpdateInPlace(values.data(), accum_[i].data(), g.data(),
+                           values.size(), learning_rate_, epsilon_);
       NoteConsumption(p, sparse_capable_[i],
                       static_cast<size_t>(p.rows()), /*dense_fallback=*/true);
     }
-  }
-  const float lr = learning_rate_;
-  RunUpdateBlocks(kAdagradParallelFloats, [&](const UpdateBlock& b) {
-    tensor::Tensor& p = params_[b.param];
-    float* values = p.mutable_data().data();
-    float* acc = accum_[b.param].data();
-    const float* g = p.grad().data();
-    if (b.kind == UpdateBlock::kElements) {
-      AdagradUpdateInPlace(values + b.lo, acc + b.lo, g + b.lo, b.hi - b.lo,
-                           lr, epsilon_);
-      return;
-    }
-    const size_t cols = static_cast<size_t>(p.cols());
-    const std::vector<int>& touched = p.grad_touched_rows();
-    for (size_t k = b.lo; k < b.hi; ++k) {
-      const size_t off = static_cast<size_t>(touched[k]) * cols;
-      AdagradUpdateInPlace(values + off, acc + off, g + off, cols, lr,
-                           epsilon_);
-    }
-  });
-  for (auto& p : params_) {
-    if (!p.grad().empty()) p.ZeroGrad();
+    p.ZeroGrad();
   }
 }
 
@@ -277,6 +220,16 @@ Adam::~Adam() {
   // The hooks capture `this`; detach them before it dies.
   for (size_t i = 0; i < params_.size(); ++i)
     if (sparse_capable_[i]) params_[i].set_row_materializer(nullptr);
+}
+
+void Adam::AddUpdateBlocks(size_t param, UpdateBlock::Kind kind,
+                           size_t units, size_t unit_floats) {
+  const size_t per_block =
+      std::max<size_t>(1, kStepBlockFloats / std::max<size_t>(1, unit_floats));
+  for (size_t lo = 0; lo < units; lo += per_block) {
+    blocks_.push_back({param, kind, lo, std::min(units, lo + per_block)});
+  }
+  block_floats_ += units * unit_floats;
 }
 
 void Adam::MaterializeRows(size_t i, const std::vector<int>& rows) {
@@ -353,8 +306,11 @@ void Adam::Step() {
       NoteConsumption(p, true, rows, /*dense_fallback=*/true);
     }
   }
+  // Every element belongs to one block and its update reads only its own
+  // state (a row's catch-up stays inside the row's block), so running the
+  // blocks on the pool gives the bits of one sequential pass.
   const float lr = learning_rate_;
-  RunUpdateBlocks(kAdamParallelFloats, [&](const UpdateBlock& b) {
+  const auto update = [&](const UpdateBlock& b) {
     tensor::Tensor& p = params_[b.param];
     float* values = p.mutable_data().data();
     float* m = m_[b.param].data();
@@ -380,7 +336,18 @@ void Adam::Step() {
       row_done_[b.param][static_cast<size_t>(r)].store(
           upto, std::memory_order_relaxed);
     }
-  });
+  };
+  const auto run = [&](int64_t lo, int64_t hi) {
+    for (int64_t b = lo; b < hi; ++b) update(blocks_[static_cast<size_t>(b)]);
+  };
+  const int64_t blocks = static_cast<int64_t>(blocks_.size());
+  if (block_floats_ >= kAdamParallelFloats && blocks >= 2) {
+    util::GlobalPool().ParallelFor(0, blocks, 1, run);
+  } else {
+    run(0, blocks);
+  }
+  blocks_.clear();
+  block_floats_ = 0;
   for (auto& p : params_) {
     if (!p.grad().empty()) p.ZeroGrad();
   }

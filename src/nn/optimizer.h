@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "nn/module.h"
@@ -48,38 +47,12 @@ class Optimizer {
  protected:
   Optimizer(Module* module, float learning_rate);
 
-  // One unit of a step's elementwise updates, for parameter `param`:
-  // elements [lo, hi) (kElements), the rows at positions [lo, hi) of its
-  // grad_touched_rows() (kTouchedRows), or rows [lo, hi) (kRows).
-  struct UpdateBlock {
-    enum Kind { kElements, kTouchedRows, kRows };
-    size_t param;
-    Kind kind;
-    size_t lo;
-    size_t hi;
-  };
-
-  // Appends blocks covering `units` units (elements or rows) of
-  // `unit_floats` floats each, about kStepBlockFloats floats per block.
-  void AddUpdateBlocks(size_t param, UpdateBlock::Kind kind, size_t units,
-                       size_t unit_floats);
-  // Runs `update` on every block queued since the last call, on the global
-  // pool when the step covers at least `parallel_floats` floats. Every
-  // element belongs to one block and its update reads only its own state,
-  // so the result is the same as one sequential pass.
-  void RunUpdateBlocks(size_t parallel_floats,
-                       const std::function<void(const UpdateBlock&)>& update);
-
   std::vector<tensor::Tensor> params_;
   // params_[i].row_sparse_grad() snapshotted at construction; a parameter
   // toggled afterwards keeps its dense treatment (toggling mid-training is
   // unsupported).
   std::vector<bool> sparse_capable_;
   float learning_rate_;
-
- private:
-  std::vector<UpdateBlock> blocks_;  // reused from step to step
-  size_t block_floats_ = 0;          // floats the queued blocks cover
 };
 
 /// Plain SGD with optional L2 weight decay and gradient clipping (by global
@@ -139,6 +112,22 @@ class Adam : public Optimizer {
     float bias2;
   };
 
+  // One unit of a step's updates, for parameter `param`: elements [lo, hi)
+  // (kElements), the rows at positions [lo, hi) of its grad_touched_rows()
+  // (kTouchedRows), or rows [lo, hi) (kRows).
+  struct UpdateBlock {
+    enum Kind { kElements, kTouchedRows, kRows };
+    size_t param;
+    Kind kind;
+    size_t lo;
+    size_t hi;
+  };
+
+  // Queues blocks covering `units` units (elements or rows) of
+  // `unit_floats` floats each for this Step.
+  void AddUpdateBlocks(size_t param, UpdateBlock::Kind kind, size_t units,
+                       size_t unit_floats);
+
   // Replays the recorded steps [from, upto) for one row of parameter i with
   // an all-zero gradient row, through the same in-place kernel as live
   // updates. Distinct rows touch disjoint slices of the parameter/m/v
@@ -181,6 +170,10 @@ class Adam : public Optimizer {
   std::vector<std::vector<StepRecord>> hist_;
   std::vector<std::vector<std::atomic<uint32_t>>> row_done_;
   std::vector<float> zero_row_;  // scratch all-zero gradient row, read-only
+  // Step's queued update blocks (reused from step to step) and the floats
+  // they cover; used only inside Step.
+  std::vector<UpdateBlock> blocks_;
+  size_t block_floats_ = 0;
 };
 
 }  // namespace imr::nn

@@ -5,6 +5,7 @@
 #include <span>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "tensor/buffer_pool.h"
 #include "util/logging.h"
@@ -451,6 +452,8 @@ struct RowCursor {
 // allocates nothing.
 struct MergeScratch {
   std::vector<MergeLeaf> leaves;
+  // The live entries in sink then entry order, each with its leaf.
+  std::vector<std::pair<const Entry*, size_t>> live;
   std::vector<const Entry*> parts;
   std::vector<int> union_rows;
   std::vector<RowCursor> heap;
@@ -463,16 +466,18 @@ MergeScratch& ThreadMergeScratch() {
 }
 
 // Appends the sorted union of parts[0, count)'s touched-row lists (each
-// sorted-unique) to m->union_rows: a k-way merge on a min-heap.
+// sorted-unique) to m->union_rows: a k-way merge on a min-heap. On the
+// train-nyt config's merges (16 sinks, about 2,200 listed rows in five
+// tables) it took about 20% less time than appending the lists and running
+// std::sort and std::unique (4-vCPU x86-64 VM).
 void UnionRows(const Entry* const* parts, size_t count, MergeScratch* m) {
   const auto later = [](const RowCursor& a, const RowCursor& b) {
     return a.row > b.row;
   };
   m->heap.clear();
   for (size_t p = 0; p < count; ++p) {
-    if (!parts[p]->touched_rows.empty()) {
-      m->heap.push_back({parts[p]->touched_rows[0], p, 0});
-    }
+    const std::vector<int>& rows = parts[p]->touched_rows;
+    if (!rows.empty()) m->heap.push_back({rows[0], p, 0});
   }
   std::make_heap(m->heap.begin(), m->heap.end(), later);
   const size_t start = m->union_rows.size();
@@ -556,25 +561,35 @@ void ScopedGradSink::MergeIntoShared(
     std::span<const std::unique_ptr<ScopedGradSink>> sinks) {
   MergeScratch& m = ThreadMergeScratch();
   m.leaves.clear();
+  m.live.clear();
   m.union_rows.clear();
   m.blocks.clear();
-  // Group the live entries by leaf, in sink order, creating each shared
-  // grad in the order the one-by-one merges did.
+  // Find each live entry's leaf, creating each shared grad in the order the
+  // one-by-one merges did. Every chunk runs the same graph, so a sink's
+  // entries nearly always come in the previous sink's order: the search
+  // starts one past the last match.
+  size_t next = 0;
   for (const std::unique_ptr<ScopedGradSink>& sink : sinks) {
     IMR_CHECK(!sink->active_);
     for (const Entry& entry : sink->entries_) {
       if (!entry.live) continue;
       TensorImpl* impl = entry.impl.get();
       impl->EnsureGrad();
-      if (impl->merge_slot < 0) {
-        impl->merge_slot = static_cast<int>(m.leaves.size());
-        m.leaves.push_back({impl, 0, 0, false, 0, 0});
+      size_t l = next;
+      if (l >= m.leaves.size() || m.leaves[l].impl != impl) {
+        l = 0;
+        while (l < m.leaves.size() && m.leaves[l].impl != impl) ++l;
+        if (l == m.leaves.size()) {
+          m.leaves.push_back({impl, 0, 0, false, 0, 0});
+        }
       }
-      MergeLeaf& leaf = m.leaves[static_cast<size_t>(impl->merge_slot)];
-      ++leaf.count;
-      leaf.any_dense |= !entry.row_sparse;
+      ++m.leaves[l].count;
+      m.leaves[l].any_dense |= !entry.row_sparse;
+      m.live.emplace_back(&entry, l);
+      next = l + 1;
     }
   }
+  // Group them by leaf, in sink order.
   size_t total_parts = 0;
   for (MergeLeaf& leaf : m.leaves) {
     leaf.first = total_parts;
@@ -582,13 +597,9 @@ void ScopedGradSink::MergeIntoShared(
     leaf.count = 0;
   }
   m.parts.resize(total_parts);
-  for (const std::unique_ptr<ScopedGradSink>& sink : sinks) {
-    for (const Entry& entry : sink->entries_) {
-      if (!entry.live) continue;
-      MergeLeaf& leaf =
-          m.leaves[static_cast<size_t>(entry.impl->merge_slot)];
-      m.parts[leaf.first + leaf.count++] = &entry;
-    }
+  for (const auto& [entry, l] : m.live) {
+    MergeLeaf& leaf = m.leaves[l];
+    m.parts[leaf.first + leaf.count++] = entry;
   }
   // Per leaf: the touched-row set and dense marking the one-by-one merges
   // would leave, and the blocks of its float adds.
@@ -596,7 +607,6 @@ void ScopedGradSink::MergeIntoShared(
   for (size_t l = 0; l < m.leaves.size(); ++l) {
     MergeLeaf& leaf = m.leaves[l];
     TensorImpl* impl = leaf.impl;
-    impl->merge_slot = -1;
     const Entry* const* parts = m.parts.data() + leaf.first;
     if (leaf.any_dense) {
       // A dense entry (a fallback) among them: row-sparse entries before it

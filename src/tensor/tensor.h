@@ -51,10 +51,6 @@ struct TensorImpl {
   // to dense ones. Must be idempotent and safe to call concurrently from
   // data-parallel forward passes (the installer synchronizes the rows).
   std::function<void(const std::vector<int>&)> row_materializer;
-  // This leaf's index in the table of a running
-  // ScopedGradSink::MergeIntoShared; -1 outside a merge. Lets the merge
-  // group the sinks' entries by leaf without a hash map.
-  int merge_slot = -1;
 
   TensorImpl() = default;
   // Returns value/grad storage to the destroying thread's buffer pool.
