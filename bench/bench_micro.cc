@@ -125,7 +125,9 @@ std::vector<nn::EncoderInput> MakeBenchSentences(const benchmark::State& state,
 std::vector<const nn::EncoderInput*> Pointers(
     const std::vector<nn::EncoderInput>& sentences) {
   std::vector<const nn::EncoderInput*> inputs;
-  for (const nn::EncoderInput& sentence : sentences) inputs.push_back(&sentence);
+  for (const nn::EncoderInput& sentence : sentences) {
+    inputs.push_back(&sentence);
+  }
   return inputs;
 }
 

@@ -503,7 +503,8 @@ void UnionRows(const Entry* const* parts, size_t count, MergeScratch* m) {
 size_t AddBlocks(size_t leaf, size_t units, size_t unit_floats, size_t parts,
                  size_t scale, std::vector<MergeBlock>* blocks) {
   const size_t per_unit = std::max<size_t>(1, unit_floats * parts);
-  const size_t units_per_block = std::max<size_t>(1, kMergeBlockAdds / per_unit);
+  const size_t units_per_block =
+      std::max<size_t>(1, kMergeBlockAdds / per_unit);
   for (size_t lo = 0; lo < units; lo += units_per_block) {
     blocks->push_back(
         {leaf, lo * scale, std::min(units, lo + units_per_block) * scale});
