@@ -58,6 +58,19 @@ build_and_test() {  # builddir cmake-extra-args... -- ctest-extra-args...
     && ctest --test-dir "$dir" --output-on-failure "$JOBS" "$@"
 }
 
+# Runs a command from a fresh temporary directory, removed afterwards. The
+# serving and ANN smokes write bench_results/BENCH_{serve,ann}.json under
+# the working directory; run from the checkout they would overwrite the
+# committed full-run results.
+in_scratch_dir() {  # command...
+  local dir status
+  dir="$(mktemp -d)" || return 1
+  (cd "$dir" && "$@")
+  status=$?
+  rm -rf "$dir"
+  return "$status"
+}
+
 # 1. Plain release build, full test suite (includes the imr_lint ctest).
 run_stage "build+ctest" build_and_test build -DCMAKE_BUILD_TYPE=Release --
 
@@ -78,7 +91,7 @@ fi
 # Cache, hot-swap, kNN-swap, delta-swap and int8 parity gates are ctest
 # cases (stage 1).
 if [ -x build/bench/bench_serve ]; then
-  run_stage "serve-smoke" build/bench/bench_serve --smoke
+  run_stage "serve-smoke" in_scratch_dir "$ROOT/build/bench/bench_serve" --smoke
 else
   record "serve-smoke" SKIP
 fi
@@ -141,7 +154,7 @@ run_stage "e2e-smoke" bash bench/e2e/run.sh --smoke
 # latency bound relaxes x8 (no SIMD distance sweep); the recall bound
 # never relaxes.
 if [ -x build/bench/bench_ann ]; then
-  run_stage "ann-smoke" build/bench/bench_ann --smoke
+  run_stage "ann-smoke" in_scratch_dir "$ROOT/build/bench/bench_ann" --smoke
 else
   record "ann-smoke" SKIP
 fi

@@ -32,16 +32,30 @@ SelectiveAttention::SelectiveAttention(int dim, int num_relations,
 Tensor SelectiveAttention::Weights(const Tensor& x, int relation) const {
   IMR_CHECK_GE(relation, 0);
   IMR_CHECK_LT(relation, num_relations_);
-  Tensor query = tensor::Reshape(queries_->Forward({relation}), {dim_});
   // q_j = x_j A r with diagonal A == x_j . (diag * r).
-  Tensor scores = tensor::RowwiseDot(x, tensor::Mul(diag_, query));
-  return tensor::Softmax(scores);
+  Tensor query = tensor::MulRowVector(queries_->Forward({relation}), diag_);
+  return tensor::Softmax(tensor::RowwiseDot(x, query));
 }
 
 Tensor SelectiveAttention::BagRepresentation(const Tensor& x,
                                              int relation) const {
   Tensor alpha = Weights(x, relation);
   return tensor::WeightedSumRows(x, alpha);
+}
+
+Tensor SelectiveAttention::BagRepresentations(
+    const Tensor& x, const std::vector<int>& offsets,
+    const std::vector<int>& relations) const {
+  IMR_CHECK_EQ(offsets.size(), relations.size() + 1);
+  // One-row segments: the gather's backward adds the bags' query rows last
+  // bag first, as one gather per bag would.
+  std::vector<int> query_rows(relations.size() + 1);
+  std::iota(query_rows.begin(), query_rows.end(), 0);
+  Tensor queries = tensor::MulRowVector(
+      tensor::GatherRows(queries_->table(), relations, query_rows), diag_);
+  Tensor alpha =
+      tensor::Softmax(tensor::RowwiseDot(x, queries, offsets), offsets);
+  return tensor::WeightedSumRows(x, alpha, offsets);
 }
 
 Tensor SelectiveAttention::StackedBagRepresentations(const Tensor& x) const {

@@ -27,6 +27,18 @@ class SelectiveAttention : public Module {
   /// inspection and tests. Returns [N].
   tensor::Tensor Weights(const tensor::Tensor& x, int relation) const;
 
+  /// The representations of B bags at once, with one op per step for all
+  /// of them. x: [N x dim], the bags' sentence encodings one bag after
+  /// another; `offsets` (B + 1 entries, the segment contract in
+  /// tensor/ops.h) puts bag b at rows [offsets[b], offsets[b + 1]), and
+  /// relations[b] is its query. Returns [B x dim] whose row b equals
+  /// BagRepresentation(bag b's rows, relations[b]) bit for bit, and whose
+  /// backward adds into the diagonal and the query table with the bits of
+  /// one BagRepresentation graph per bag.
+  tensor::Tensor BagRepresentations(const tensor::Tensor& x,
+                                    const std::vector<int>& offsets,
+                                    const std::vector<int>& relations) const;
+
   /// Inference only: the bag representation under every query relation at
   /// once. x: [N x dim]; returns [num_relations x dim] whose row r equals
   /// BagRepresentation(x, r) bit for bit on every backend. One [R x N]

@@ -45,12 +45,14 @@ struct TrainerConfig {
   float adversarial_epsilon = 0.0f;
   uint64_t seed = 101;
   bool verbose = false;
-  // Data-parallel worker count; 0 defers to util::GlobalThreads(). At 1 the
-  // original sequential batch loop (and rng stream) runs bit-exactly. At
-  // N>1 each batch splits into a FIXED number of chunks with per-chunk rngs
-  // and gradient sinks, merged in chunk order — so all N>1 runs are
-  // bit-identical to each other (though not to the N=1 stream, whose
-  // dropout draws interleave differently).
+  // Selects the batch step; 0 defers to util::GlobalThreads(). At 1 the
+  // original sequential batch loop (and rng stream) runs bit-exactly. Any
+  // value above 1 selects the data-parallel step, whose workers are the
+  // global pool's (util::SetGlobalThreads), not this many: each batch
+  // splits into a FIXED number of chunks with per-chunk rngs and gradient
+  // sinks, merged in chunk order, so it gives the same floats at every
+  // pool size (though not the sequential step's, whose dropout draws
+  // interleave differently).
   int threads = 0;
 };
 

@@ -68,10 +68,11 @@ void PaModel::EnableQuantizedInference() {
 Tensor PaModel::HeadForward(const nn::Linear& head,
                             const nn::QuantizedLinear* quantized,
                             const Tensor& x) const {
-  if (tensor::GradModeEnabled()) return head.Forward(x);
-  if (quantized != nullptr) return quantized->Forward(x);
-  // Row-exact: a stacked [R x dim] input gives each row the bits of its
-  // own rank-1 head.Forward.
+  if (quantized != nullptr && !tensor::GradModeEnabled()) {
+    return quantized->Forward(x);
+  }
+  // Row-exact: a stacked [B x dim] input gives each row the bits of its own
+  // rank-1 head.Forward, forward and backward.
   return tensor::RowwiseAffine(x, head.weight(), head.bias());
 }
 
@@ -113,55 +114,87 @@ Tensor PaModel::Aggregate(const Tensor& encodings, int query_relation) const {
   return Tensor();
 }
 
-Tensor PaModel::FuseLogits(const Bag& bag, const Tensor& re_logits) const {
+Tensor PaModel::AggregateBags(const Tensor& encodings,
+                              const std::vector<int>& offsets,
+                              const std::vector<int>& relations) const {
+  switch (config_.aggregation) {
+    case Aggregation::kAttention:
+      return attention_->BagRepresentations(encodings, offsets, relations);
+    case Aggregation::kAverage:
+      return tensor::MeanRows(encodings, offsets);
+    case Aggregation::kMax:
+      return tensor::MaxOverRows(encodings, offsets);
+  }
+  IMR_CHECK(false);
+  return Tensor();
+}
+
+Tensor PaModel::FuseLogits(const std::vector<const Bag*>& bags,
+                           const std::vector<int>& rows,
+                           const Tensor& re_logits) const {
   if (!config_.use_mutual_relation && !config_.use_entity_type) {
     return re_logits;
   }
-  // gamma * RE with RE = softmax(re_logits), one row per attention query.
-  // C_MR and C_T do not depend on the query: each is computed once and
-  // added to every row.
+  const int count = static_cast<int>(bags.size());
+  // gamma * RE with RE = softmax(re_logits), row by row. C_MR and C_T do
+  // not depend on the attention query: each bag's are computed once, one
+  // row per bag, and added to each of its rows.
   Tensor mixture =
       tensor::ScaleByScalarTensor(tensor::Softmax(re_logits), gamma_);
   if (config_.use_mutual_relation) {
-    IMR_CHECK_EQ(static_cast<int>(bag.mutual_relation.size()),
-                 config_.mutual_relation_dim);
+    const size_t dim = static_cast<size_t>(config_.mutual_relation_dim);
     // A pooled copy: storage the pool hands out comes back to it, so the
-    // per-bag MR vector does not blur the thread's working-set count.
-    std::vector<float> mr = AcquireBuffer(bag.mutual_relation.size());
-    std::copy(bag.mutual_relation.begin(), bag.mutual_relation.end(),
-              mr.begin());
-    Tensor mr_input =
-        Tensor::FromData({config_.mutual_relation_dim}, std::move(mr));
+    // bags' MR vectors do not blur the thread's working-set count.
+    std::vector<float> mr = AcquireBuffer(static_cast<size_t>(count) * dim);
+    for (int b = 0; b < count; ++b) {
+      const std::vector<float>& bag_mr =
+          bags[static_cast<size_t>(b)]->mutual_relation;
+      IMR_CHECK_EQ(bag_mr.size(), dim);
+      std::copy(bag_mr.begin(), bag_mr.end(),
+                mr.begin() + static_cast<long>(static_cast<size_t>(b) * dim));
+    }
+    Tensor mr_input = Tensor::FromData(
+        {count, config_.mutual_relation_dim}, std::move(mr));
     Tensor c_mr = tensor::Softmax(
         HeadForward(*mr_head_, quantized_mr_head_.get(), mr_input));
-    mixture = tensor::AddRowVector(mixture,
-                                   tensor::ScaleByScalarTensor(c_mr, alpha_));
+    mixture = tensor::AddRowVector(
+        mixture, tensor::ScaleByScalarTensor(c_mr, alpha_), rows);
   }
   if (config_.use_entity_type) {
-    Tensor t_input =
-        type_embedding_->PairVector(bag.head_types, bag.tail_types);
+    // Every bag's head type ids, then its tail type ids: 2B segments.
+    std::vector<int> type_ids;
+    std::vector<int> type_offsets(1, 0);
+    type_offsets.reserve(2 * bags.size() + 1);
+    for (const Bag* bag : bags) {
+      type_ids.insert(type_ids.end(), bag->head_types.begin(),
+                      bag->head_types.end());
+      type_offsets.push_back(static_cast<int>(type_ids.size()));
+      type_ids.insert(type_ids.end(), bag->tail_types.begin(),
+                      bag->tail_types.end());
+      type_offsets.push_back(static_cast<int>(type_ids.size()));
+    }
     Tensor c_t = tensor::Softmax(
-        HeadForward(*type_head_, quantized_type_head_.get(), t_input));
-    mixture = tensor::AddRowVector(mixture,
-                                   tensor::ScaleByScalarTensor(c_t, beta_));
+        HeadForward(*type_head_, quantized_type_head_.get(),
+                    type_embedding_->PairVectors(type_ids, type_offsets)));
+    mixture = tensor::AddRowVector(
+        mixture, tensor::ScaleByScalarTensor(c_t, beta_), rows);
   }
   return tensor::AddRowVector(
-      tensor::ScaleByScalarTensor(mixture, fuse_scale_), fuse_bias_);
+      tensor::ScaleByScalarTensor(mixture, fuse_scale_), fuse_bias_, rows);
 }
 
 Tensor PaModel::BagLogits(const Bag& bag, int query_relation,
                           util::Rng* rng) const {
   Tensor encodings = EncodeBag(bag, rng);
-  Tensor bag_repr = Aggregate(encodings, query_relation);
-  Tensor re_logits = re_head_->Forward(bag_repr);
-  return FuseLogits(bag, re_logits);
+  Tensor re_logits = HeadForward(*re_head_, quantized_re_head_.get(),
+                                 Aggregate(encodings, query_relation));
+  return FuseLogits({&bag}, {0, 1}, re_logits);
 }
 
 Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
                           util::Rng* rng) const {
   IMR_CHECK(!batch.empty());
-  // Every sentence of the batch in one EncodeBatch call; each bag then
-  // takes its rows with one slice.
+  // Every sentence of the batch in one EncodeBatch call.
   std::vector<const nn::EncoderInput*>& inputs = ThreadEncoderInputs();
   for (const Bag* bag : batch) {
     IMR_CHECK(!bag->sentences.empty());
@@ -169,45 +202,39 @@ Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
       inputs.push_back(&sentence);
     }
   }
-  const Tensor all = encoder_->EncodeBatch(inputs, rng);
-  std::vector<Tensor> encodings;
-  encodings.reserve(batch.size());
-  int first_row = 0;
-  for (const Bag* bag : batch) {
-    const int rows = static_cast<int>(bag->sentences.size());
-    encodings.push_back(tensor::SliceRows(all, first_row, rows));
-    first_row += rows;
-  }
-  return BatchLoss(batch, encodings);
+  return BatchLoss(batch, encoder_->EncodeBatch(inputs, rng));
 }
 
 Tensor PaModel::BatchLoss(const std::vector<const Bag*>& batch,
-                          const std::vector<Tensor>& encodings) const {
+                          const Tensor& encodings) const {
   IMR_CHECK(!batch.empty());
-  IMR_CHECK_EQ(encodings.size(), batch.size());
   const bool fused =
       config_.use_mutual_relation || config_.use_entity_type;
   const bool auxiliary = fused && config_.auxiliary_re_loss > 0.0f;
-  std::vector<Tensor> logit_rows;
-  std::vector<Tensor> re_rows;
+  // Bag b owns rows [offsets[b], offsets[b + 1]) of the encodings and row
+  // b of every [B x ...] tensor below.
+  std::vector<int> offsets(1, 0);
+  std::vector<int> bag_rows(1, 0);
   std::vector<int> labels;
-  logit_rows.reserve(batch.size());
+  offsets.reserve(batch.size() + 1);
+  bag_rows.reserve(batch.size() + 1);
   labels.reserve(batch.size());
-  for (size_t b = 0; b < batch.size(); ++b) {
-    const Bag& bag = *batch[b];
-    Tensor bag_repr = Aggregate(encodings[b], bag.relation);
-    Tensor re_logits = re_head_->Forward(bag_repr);
-    logit_rows.push_back(FuseLogits(bag, re_logits));
-    if (auxiliary) re_rows.push_back(re_logits);
-    labels.push_back(bag.relation);
+  for (const Bag* bag : batch) {
+    IMR_CHECK(!bag->sentences.empty());
+    offsets.push_back(offsets.back() +
+                      static_cast<int>(bag->sentences.size()));
+    bag_rows.push_back(bag_rows.back() + 1);
+    labels.push_back(bag->relation);
   }
-  Tensor loss =
-      tensor::CrossEntropyLoss(tensor::ConcatRows(logit_rows), labels);
+  Tensor re_logits =
+      HeadForward(*re_head_, quantized_re_head_.get(),
+                  AggregateBags(encodings, offsets, labels));
+  Tensor loss = tensor::CrossEntropyLoss(
+      FuseLogits(batch, bag_rows, re_logits), labels);
   if (auxiliary) {
     // Keep the text path trained even when the fused loss leans on the
     // faster-converging MR/type heads (see PaModelConfig).
-    Tensor re_loss =
-        tensor::CrossEntropyLoss(tensor::ConcatRows(re_rows), labels);
+    Tensor re_loss = tensor::CrossEntropyLoss(re_logits, labels);
     loss = tensor::Add(
         loss, tensor::Scale(re_loss, config_.auxiliary_re_loss));
   }
@@ -235,8 +262,10 @@ std::vector<float> PaModel::PredictImpl(const Bag& bag,
   const bool diagonal = config_.aggregation == Aggregation::kAttention;
   Tensor bag_repr = diagonal ? attention_->StackedBagRepresentations(encodings)
                              : Aggregate(encodings, /*query_relation=*/0);
-  Tensor probs = tensor::Softmax(FuseLogits(
-      bag, HeadForward(*re_head_, quantized_re_head_.get(), bag_repr)));
+  Tensor re_logits =
+      HeadForward(*re_head_, quantized_re_head_.get(), bag_repr);
+  Tensor probs =
+      tensor::Softmax(FuseLogits({&bag}, {0, re_logits.rows()}, re_logits));
   std::vector<float> probabilities(
       static_cast<size_t>(config_.num_relations), 0.0f);
   for (int r = 0; r < config_.num_relations; ++r) {

@@ -45,15 +45,19 @@ class PaModel : public nn::Module {
   /// Training loss of a batch of bags (mean cross-entropy of the gold
   /// labels, attention queried with the gold label as in Lin et al.).
   /// Encodes every sentence of the batch with one EncodeBatch call and
-  /// hands each bag one row slice of the result to the overload below.
+  /// hands the result to the overload below.
   tensor::Tensor BatchLoss(const std::vector<const Bag*>& batch,
                            util::Rng* rng) const;
 
-  /// The same loss from sentence encodings the caller computed:
-  /// encodings[b] is bag b's [N_b x C], for example a graph built with
-  /// encoder().Encode one sentence at a time.
+  /// The same loss from sentence encodings the caller computed: the
+  /// [S x C] rows of every bag's sentences, bag after bag (for example
+  /// ConcatRows over encoder().Encode of one sentence at a time). The bag
+  /// level is one graph over all the bags, one op per step with the bags
+  /// as segments, ending in one [B x R] logit matrix and one cross-entropy.
+  /// Its loss and gradients have the bits of a graph with one attention,
+  /// head and fusion op per bag, joined by ConcatRows.
   tensor::Tensor BatchLoss(const std::vector<const Bag*>& batch,
-                           const std::vector<tensor::Tensor>& encodings) const;
+                           const tensor::Tensor& encodings) const;
 
   const nn::SentenceEncoder& encoder() const { return *encoder_; }
 
@@ -95,16 +99,25 @@ class PaModel : public nn::Module {
   std::vector<float> PredictImpl(const Bag& bag, util::Rng* rng) const;
   // Encodes all sentences of a bag into [N x C] with one EncodeBatch call.
   tensor::Tensor EncodeBag(const Bag& bag, util::Rng* rng) const;
+  // One bag's representation [C] under `query_relation`.
   tensor::Tensor Aggregate(const tensor::Tensor& encodings,
                            int query_relation) const;
-  // Fuses RE logits with the MR / Type confidences for one bag. re_logits
-  // is rank-1 [R] (one query) or [Q x R] (one row per query); C_MR and C_T
-  // are broadcast over the rows.
-  tensor::Tensor FuseLogits(const Bag& bag,
+  // The representations [B x C] of the bags at `offsets` of encodings'
+  // rows, bag b under query relations[b].
+  tensor::Tensor AggregateBags(const tensor::Tensor& encodings,
+                               const std::vector<int>& offsets,
+                               const std::vector<int>& relations) const;
+  // Fuses RE logits with the MR / Type confidences of `bags`. `rows` splits
+  // re_logits' rows among the bags by the segment contract in
+  // tensor/ops.h: one row per bag in BatchLoss and BagLogits, one bag's Q
+  // query rows in Predict. Each bag's C_MR and C_T are computed once and
+  // added to each of its rows.
+  tensor::Tensor FuseLogits(const std::vector<const Bag*>& bags,
+                            const std::vector<int>& rows,
                             const tensor::Tensor& re_logits) const;
-  // Head forward that honors quantized inference: the int8 shadow when one
-  // exists and no gradients are recording, the fp32 layer otherwise. Both
-  // no-grad paths compute each row of a rank-2 x on its own.
+  // Head forward, each row of a rank-2 x computed on its own: the int8
+  // shadow when one exists and no gradients are recording, the fp32 layer
+  // through RowwiseAffine otherwise.
   tensor::Tensor HeadForward(const nn::Linear& head,
                              const nn::QuantizedLinear* quantized,
                              const tensor::Tensor& x) const;

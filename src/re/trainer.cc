@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "nn/optimizer.h"
@@ -144,12 +145,34 @@ double Trainer::ParallelBatchStep(
   if (grad_sinks_.size() < static_cast<size_t>(chunks)) {
     grad_sinks_.resize(static_cast<size_t>(chunks));
   }
+  // Threads claim chunks longest first (most tokens, ties by index): a
+  // long bag's conv dominates its chunk, and claimed last it would leave
+  // the other threads waiting at the end of the region. Chunk c keeps its
+  // seed, sink and loss slot, so the claim order moves no bit.
+  std::vector<int64_t> tokens(static_cast<size_t>(chunks), 0);
+  for (int64_t i = 0; i < n; ++i) {
+    for (const nn::EncoderInput& sentence :
+         batch[static_cast<size_t>(i)]->sentences) {
+      tokens[static_cast<size_t>(i / grain)] +=
+          static_cast<int64_t>(sentence.word_ids.size());
+    }
+  }
+  std::vector<int64_t> claim_order(static_cast<size_t>(chunks));
+  std::iota(claim_order.begin(), claim_order.end(), 0);
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&tokens](int64_t a, int64_t b) {
+                     return tokens[static_cast<size_t>(a)] >
+                            tokens[static_cast<size_t>(b)];
+                   });
   auto run_pass = [&]() -> double {
     std::vector<uint64_t> seeds(static_cast<size_t>(chunks));
     for (uint64_t& s : seeds) s = rng_.Next();
     std::vector<double> losses(static_cast<size_t>(chunks), 0.0);
     util::GlobalPool().ParallelForChunks(
-        0, n, grain, [&](int64_t lo, int64_t hi, int64_t chunk) {
+        0, chunks, 1, [&](int64_t claim, int64_t, int64_t) {
+          const int64_t chunk = claim_order[static_cast<size_t>(claim)];
+          const int64_t lo = chunk * grain;
+          const int64_t hi = std::min(n, lo + grain);
           const auto c = static_cast<size_t>(chunk);
           util::Rng chunk_rng(seeds[c]);
           std::unique_ptr<tensor::internal::ScopedGradSink>& sink =

@@ -11,18 +11,12 @@ TypeEmbedding::TypeEmbedding(int type_dim, util::Rng* rng, int num_types)
   RegisterChild("table", table_.get());
 }
 
-tensor::Tensor TypeEmbedding::EntityVector(
-    const std::vector<int>& type_ids) const {
-  IMR_CHECK(!type_ids.empty());
-  tensor::Tensor rows = table_->Forward(type_ids);
-  return tensor::MeanRows(rows);
-}
-
-tensor::Tensor TypeEmbedding::PairVector(
-    const std::vector<int>& head_types,
-    const std::vector<int>& tail_types) const {
-  return tensor::ConcatVec(
-      {EntityVector(head_types), EntityVector(tail_types)});
+tensor::Tensor TypeEmbedding::PairVectors(
+    const std::vector<int>& type_ids, const std::vector<int>& offsets) const {
+  IMR_CHECK_EQ(offsets.size() % 2, 1u);
+  return tensor::MeanRows(
+      tensor::GatherRows(table_->table(), type_ids, offsets), offsets,
+      /*per_row=*/2);
 }
 
 }  // namespace imr::re

@@ -18,12 +18,15 @@ class TypeEmbedding : public nn::Module {
   TypeEmbedding(int type_dim, util::Rng* rng,
                 int num_types = kg::kNumCoarseTypes);
 
-  /// Mean type embedding of one entity: [type_dim]. Requires >= 1 type.
-  tensor::Tensor EntityVector(const std::vector<int>& type_ids) const;
-
-  /// T_ij = concat(Type_i, Type_j): [2 * type_dim].
-  tensor::Tensor PairVector(const std::vector<int>& head_types,
-                            const std::vector<int>& tail_types) const;
+  /// T_ij = concat(Type_i, Type_j) of B pairs at once: [B x 2 * type_dim],
+  /// one gather and one segmented mean. `type_ids` holds each pair's head
+  /// type ids, then its tail type ids, pair after pair; `offsets` (2B + 1
+  /// entries, the segment contract in tensor/ops.h) makes segment 2b pair
+  /// b's head types and 2b + 1 its tail types. Every entity needs >= 1
+  /// type. Row b has the bits of the mean of each entity's rows, and the
+  /// backward adds into the table last pair first, tail before head.
+  tensor::Tensor PairVectors(const std::vector<int>& type_ids,
+                             const std::vector<int>& offsets) const;
 
   int type_dim() const { return type_dim_; }
 

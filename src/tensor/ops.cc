@@ -358,12 +358,19 @@ Tensor ScaleByScalarTensor(const Tensor& a, const Tensor& s) {
                           (*ga)[i] += self.grad[i] * sv;
                       }
                       if (WantsGrad(s)) {
+                        // One sum per row, added last row first: a graph
+                        // with one rank-1 op per row reduces each row on
+                        // its own and fires the last row's op first.
                         auto* gs = GradOf(s);
                         const auto& av = a.data();
-                        float acc = 0.0f;
-                        for (size_t i = 0; i < self.grad.size(); ++i)
-                          acc += self.grad[i] * av[i];
-                        (*gs)[0] += acc;
+                        const size_t cols = static_cast<size_t>(a.cols());
+                        for (size_t end = self.grad.size(); end > 0;
+                             end -= cols) {
+                          float acc = 0.0f;
+                          for (size_t i = end - cols; i < end; ++i)
+                            acc += self.grad[i] * av[i];
+                          (*gs)[0] += acc;
+                        }
                       }
                     });
 }
@@ -551,7 +558,6 @@ Tensor AffineTanh(const Tensor& x, const Tensor& weight, const Tensor& bias) {
 
 Tensor RowwiseAffine(const Tensor& x, const Tensor& weight,
                      const Tensor& bias) {
-  IMR_CHECK(!GradModeEnabled());
   const bool lhs_vector = (x.rank() == 1);
   const int rows = lhs_vector ? 1 : x.shape()[0];
   const int inner = lhs_vector ? x.shape()[0] : x.shape()[1];
@@ -573,108 +579,262 @@ Tensor RowwiseAffine(const Tensor& x, const Tensor& weight,
   }
   std::vector<int> out_shape =
       lhs_vector ? std::vector<int>{cols} : std::vector<int>{rows, cols};
-  return MakeResult(std::move(out_shape), std::move(out), {}, nullptr);
+  if (!Records({&x, &weight, &bias})) {
+    return MakeResult(std::move(out_shape), std::move(out), {x, weight, bias},
+                      nullptr);
+  }
+  return MakeResult(
+      std::move(out_shape), std::move(out), {x, weight, bias},
+      [x, weight, bias, rows, inner, cols](TensorImpl& self) {
+        // Row by row, last row first, each as Add(MatMul(row, weight),
+        // bias) fires for that row alone: the bias takes the row's
+        // gradient, and the 1-row MatMul kernels take it through the Add
+        // node's zero-initialised grad (hence `0.0f +`).
+        PooledFloats g2(AcquireBuffer(static_cast<size_t>(cols)));
+        float* __restrict g2v = g2.data();
+        float* gbv = WantsGrad(bias) ? GradOf(bias)->data() : nullptr;
+        float* gxv = WantsGrad(x) ? GradOf(x)->data() : nullptr;
+        float* gwv = WantsGrad(weight) ? GradOf(weight)->data() : nullptr;
+        for (int r = rows - 1; r >= 0; --r) {
+          const float* __restrict grow =
+              self.grad.data() + static_cast<size_t>(r) * cols;
+          if (gbv != nullptr) {
+            for (int c = 0; c < cols; ++c) gbv[c] += grow[c];
+          }
+          for (int c = 0; c < cols; ++c) g2v[c] = 0.0f + grow[c];
+          if (gxv != nullptr) {
+            MatMulAccumGradA(g2v, weight.data().data(),
+                             gxv + static_cast<size_t>(r) * inner, 1, inner,
+                             cols);
+          }
+          if (gwv != nullptr) {
+            MatMulAccumGradB(g2v,
+                             x.data().data() + static_cast<size_t>(r) * inner,
+                             gwv, 1, inner, cols);
+          }
+        }
+      });
 }
 
+namespace {
+
+// AddRowVector over `offsets` segments (empty: one segment). v holds one
+// row shared by every segment, or one row per segment.
+Tensor AddRowSegments(const Tensor& m, const Tensor& v,
+                      const std::vector<int>& offsets) {
+  const int rows = m.rows();
+  const int cols = m.cols();
+  const SegmentView segments{offsets, rows};
+  const int count = segments.count();
+  const bool shared = static_cast<int>(v.size()) == cols;
+  IMR_CHECK(shared || v.size() == static_cast<size_t>(count) * cols);
+  std::vector<float> out = AcquireBuffer(m.size());
+  const float* mv = m.data().data();
+  const float* vv = v.data().data();
+  for (int s = 0; s < count; ++s) {
+    const float* vrow = shared ? vv : vv + static_cast<size_t>(s) * cols;
+    for (int r = segments.begin(s); r < segments.end(s); ++r) {
+      const size_t base = static_cast<size_t>(r) * cols;
+      for (int c = 0; c < cols; ++c) out[base + c] = mv[base + c] + vrow[c];
+    }
+  }
+  if (!Records({&m, &v})) {
+    return MakeResult(m.shape(), std::move(out), {m, v}, nullptr);
+  }
+  return MakeResult(
+      m.shape(), std::move(out), {m, v},
+      [m, v, offsets, rows, cols, shared](TensorImpl& self) {
+        if (WantsGrad(m)) {
+          auto* gm = GradOf(m);
+          for (size_t i = 0; i < self.grad.size(); ++i)
+            (*gm)[i] += self.grad[i];
+        }
+        if (WantsGrad(v)) {
+          float* gv = GradOf(v)->data();
+          const SegmentView segments{offsets, rows};
+          for (int s = segments.count() - 1; s >= 0; --s) {
+            float* gvrow = shared ? gv : gv + static_cast<size_t>(s) * cols;
+            for (int r = segments.begin(s); r < segments.end(s); ++r) {
+              const float* grow =
+                  self.grad.data() + static_cast<size_t>(r) * cols;
+              for (int c = 0; c < cols; ++c) gvrow[c] += grow[c];
+            }
+          }
+        }
+      });
+}
+
+}  // namespace
+
 Tensor AddRowVector(const Tensor& m, const Tensor& v) {
+  IMR_CHECK_EQ(static_cast<int>(v.size()), m.cols());
+  return AddRowSegments(m, v, {});
+}
+
+Tensor AddRowVector(const Tensor& m, const Tensor& v,
+                    const std::vector<int>& offsets) {
+  CheckOffsets(offsets, m.rows());
+  return AddRowSegments(m, v, offsets);
+}
+
+Tensor MulRowVector(const Tensor& m, const Tensor& v) {
   const int rows = m.rows();
   const int cols = m.cols();
   IMR_CHECK_EQ(static_cast<int>(v.size()), cols);
   std::vector<float> out = AcquireBuffer(m.size());
-  const auto& mv = m.data();
-  const auto& vv = v.data();
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      out[static_cast<size_t>(r) * cols + c] =
-          mv[static_cast<size_t>(r) * cols + c] + vv[c];
-    }
+  // Row by row through Mul's kernel, with v as its first operand.
+  const simd::Kernels& kernels = simd::Active();
+  const size_t width = static_cast<size_t>(cols);
+  for (size_t off = 0; off < out.size(); off += width) {
+    kernels.mul(v.data().data(), m.data().data() + off, out.data() + off,
+                width);
   }
-  return MakeResult(m.shape(), std::move(out), {m, v},
-                    [m, v, rows, cols](TensorImpl& self) {
-                      if (WantsGrad(m)) {
-                        auto* gm = GradOf(m);
-                        for (size_t i = 0; i < self.grad.size(); ++i)
-                          (*gm)[i] += self.grad[i];
-                      }
-                      if (WantsGrad(v)) {
-                        auto* gv = GradOf(v);
-                        for (int r = 0; r < rows; ++r)
-                          for (int c = 0; c < cols; ++c)
-                            (*gv)[c] +=
-                                self.grad[static_cast<size_t>(r) * cols + c];
-                      }
-                    });
+  return MakeResult(
+      m.shape(), std::move(out), {m, v}, [m, v, rows, cols](TensorImpl& self) {
+        const float* mv = m.data().data();
+        const float* vv = v.data().data();
+        if (WantsGrad(v)) {
+          float* gv = GradOf(v)->data();
+          for (int r = rows - 1; r >= 0; --r) {
+            const size_t base = static_cast<size_t>(r) * cols;
+            for (int c = 0; c < cols; ++c)
+              gv[c] += self.grad[base + c] * mv[base + c];
+          }
+        }
+        if (WantsGrad(m)) {
+          auto* gm = GradOf(m);
+          for (size_t i = 0; i < self.grad.size(); ++i)
+            (*gm)[i] += self.grad[i] * vv[i % static_cast<size_t>(cols)];
+        }
+      });
 }
 
-Tensor RowwiseDot(const Tensor& x, const Tensor& q) {
+namespace {
+
+// RowwiseDot over `offsets` segments (empty: one segment); q holds one row
+// per segment.
+Tensor RowwiseDotSegments(const Tensor& x, const Tensor& q,
+                          const std::vector<int>& offsets) {
   IMR_CHECK_EQ(x.rank(), 2);
   const int rows = x.shape()[0];
   const int cols = x.shape()[1];
-  IMR_CHECK_EQ(static_cast<int>(q.size()), cols);
+  const SegmentView segments{offsets, rows};
+  IMR_CHECK_EQ(q.size(), static_cast<size_t>(segments.count()) * cols);
   std::vector<float> out = AcquireBuffer(rows);  // every out[r] is assigned
-  const auto& xv = x.data();
-  const auto& qv = q.data();
-  for (int r = 0; r < rows; ++r) {
-    float acc = 0.0f;
-    for (int c = 0; c < cols; ++c)
-      acc += xv[static_cast<size_t>(r) * cols + c] * qv[c];
-    out[r] = acc;
+  const float* xv = x.data().data();
+  const float* qv = q.data().data();
+  for (int s = 0; s < segments.count(); ++s) {
+    const float* qrow = qv + static_cast<size_t>(s) * cols;
+    for (int r = segments.begin(s); r < segments.end(s); ++r) {
+      const float* xrow = xv + static_cast<size_t>(r) * cols;
+      float acc = 0.0f;
+      for (int c = 0; c < cols; ++c) acc += xrow[c] * qrow[c];
+      out[static_cast<size_t>(r)] = acc;
+    }
   }
-  return MakeResult({rows}, std::move(out), {x, q},
-                    [x, q, rows, cols](TensorImpl& self) {
-                      const auto& xv = x.data();
-                      const auto& qv = q.data();
-                      if (WantsGrad(x)) {
-                        auto* gx = GradOf(x);
-                        for (int r = 0; r < rows; ++r)
-                          for (int c = 0; c < cols; ++c)
-                            (*gx)[static_cast<size_t>(r) * cols + c] +=
-                                self.grad[r] * qv[c];
-                      }
-                      if (WantsGrad(q)) {
-                        auto* gq = GradOf(q);
-                        for (int r = 0; r < rows; ++r)
-                          for (int c = 0; c < cols; ++c)
-                            (*gq)[c] +=
-                                self.grad[r] *
-                                xv[static_cast<size_t>(r) * cols + c];
-                      }
-                    });
+  if (!Records({&x, &q})) {
+    return MakeResult({rows}, std::move(out), {x, q}, nullptr);
+  }
+  return MakeResult(
+      {rows}, std::move(out), {x, q},
+      [x, q, offsets, rows, cols](TensorImpl& self) {
+        const float* xv = x.data().data();
+        const float* qv = q.data().data();
+        float* gx = WantsGrad(x) ? GradOf(x)->data() : nullptr;
+        float* gq = WantsGrad(q) ? GradOf(q)->data() : nullptr;
+        const SegmentView segments{offsets, rows};
+        for (int s = segments.count() - 1; s >= 0; --s) {
+          const size_t qbase = static_cast<size_t>(s) * cols;
+          for (int r = segments.begin(s); r < segments.end(s); ++r) {
+            const float g = self.grad[static_cast<size_t>(r)];
+            const size_t xbase = static_cast<size_t>(r) * cols;
+            if (gx != nullptr) {
+              for (int c = 0; c < cols; ++c)
+                gx[xbase + c] += g * qv[qbase + c];
+            }
+            if (gq != nullptr) {
+              for (int c = 0; c < cols; ++c)
+                gq[qbase + c] += g * xv[xbase + c];
+            }
+          }
+        }
+      });
 }
 
-Tensor WeightedSumRows(const Tensor& x, const Tensor& w) {
+// WeightedSumRows over `offsets` segments (empty: one segment), one output
+// row per segment, shaped `out_shape`.
+Tensor WeightedSumSegments(const Tensor& x, const Tensor& w,
+                           const std::vector<int>& offsets,
+                           std::vector<int> out_shape) {
   IMR_CHECK_EQ(x.rank(), 2);
   const int rows = x.shape()[0];
   const int cols = x.shape()[1];
   IMR_CHECK_EQ(static_cast<int>(w.size()), rows);
-  std::vector<float> out = AcquireBufferFill(cols, 0.0f);
-  const auto& xv = x.data();
-  const auto& wv = w.data();
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      out[c] += wv[r] * xv[static_cast<size_t>(r) * cols + c];
-  return MakeResult({cols}, std::move(out), {x, w},
-                    [x, w, rows, cols](TensorImpl& self) {
-                      const auto& xv = x.data();
-                      const auto& wv = w.data();
-                      if (WantsGrad(x)) {
-                        auto* gx = GradOf(x);
-                        for (int r = 0; r < rows; ++r)
-                          for (int c = 0; c < cols; ++c)
-                            (*gx)[static_cast<size_t>(r) * cols + c] +=
-                                wv[r] * self.grad[c];
-                      }
-                      if (WantsGrad(w)) {
-                        auto* gw = GradOf(w);
-                        for (int r = 0; r < rows; ++r) {
-                          float acc = 0.0f;
-                          for (int c = 0; c < cols; ++c)
-                            acc += xv[static_cast<size_t>(r) * cols + c] *
-                                   self.grad[c];
-                          (*gw)[r] += acc;
-                        }
-                      }
-                    });
+  const SegmentView segments{offsets, rows};
+  std::vector<float> out = AcquireBufferFill(
+      static_cast<size_t>(segments.count()) * cols, 0.0f);
+  const float* xv = x.data().data();
+  const float* wv = w.data().data();
+  for (int s = 0; s < segments.count(); ++s) {
+    float* orow = out.data() + static_cast<size_t>(s) * cols;
+    for (int r = segments.begin(s); r < segments.end(s); ++r) {
+      const float* xrow = xv + static_cast<size_t>(r) * cols;
+      for (int c = 0; c < cols; ++c) orow[c] += wv[r] * xrow[c];
+    }
+  }
+  if (!Records({&x, &w})) {
+    return MakeResult(std::move(out_shape), std::move(out), {x, w}, nullptr);
+  }
+  return MakeResult(
+      std::move(out_shape), std::move(out), {x, w},
+      [x, w, offsets, rows, cols](TensorImpl& self) {
+        const float* xv = x.data().data();
+        const float* wv = w.data().data();
+        float* gx = WantsGrad(x) ? GradOf(x)->data() : nullptr;
+        float* gw = WantsGrad(w) ? GradOf(w)->data() : nullptr;
+        const SegmentView segments{offsets, rows};
+        for (int s = segments.count() - 1; s >= 0; --s) {
+          const float* grow = self.grad.data() + static_cast<size_t>(s) * cols;
+          for (int r = segments.begin(s); r < segments.end(s); ++r) {
+            const size_t xbase = static_cast<size_t>(r) * cols;
+            if (gx != nullptr) {
+              for (int c = 0; c < cols; ++c) gx[xbase + c] += wv[r] * grow[c];
+            }
+            if (gw != nullptr) {
+              float acc = 0.0f;
+              for (int c = 0; c < cols; ++c) acc += xv[xbase + c] * grow[c];
+              gw[r] += acc;
+            }
+          }
+        }
+      });
+}
+
+}  // namespace
+
+Tensor RowwiseDot(const Tensor& x, const Tensor& q) {
+  return RowwiseDotSegments(x, q, {});
+}
+
+Tensor RowwiseDot(const Tensor& x, const Tensor& q,
+                  const std::vector<int>& offsets) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  return RowwiseDotSegments(x, q, offsets);
+}
+
+Tensor WeightedSumRows(const Tensor& x, const Tensor& w) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  return WeightedSumSegments(x, w, {}, {x.shape()[1]});
+}
+
+Tensor WeightedSumRows(const Tensor& x, const Tensor& w,
+                       const std::vector<int>& offsets) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  return WeightedSumSegments(
+      x, w, offsets,
+      {static_cast<int>(offsets.size()) - 1, x.shape()[1]});
 }
 
 Tensor Reshape(const Tensor& a, std::vector<int> shape) {
@@ -952,38 +1112,133 @@ Tensor SumRows(const Tensor& x) {
                     });
 }
 
-Tensor MeanRows(const Tensor& x) {
-  IMR_CHECK_EQ(x.rank(), 2);
-  IMR_CHECK_GT(x.shape()[0], 0);
-  return Scale(SumRows(x), 1.0f / static_cast<float>(x.shape()[0]));
-}
+namespace {
 
-Tensor MaxOverRows(const Tensor& x) {
+// MeanRows over `offsets` segments (empty: one segment), one output row per
+// segment, shaped `out_shape`.
+Tensor MeanSegments(const Tensor& x, const std::vector<int>& offsets,
+                    std::vector<int> out_shape) {
   IMR_CHECK_EQ(x.rank(), 2);
   const int rows = x.shape()[0];
   const int cols = x.shape()[1];
   IMR_CHECK_GT(rows, 0);
-  std::vector<float> out =
-      AcquireBufferFill(cols, -std::numeric_limits<float>::infinity());
-  std::vector<int> argmax(cols, 0);
-  const auto& xv = x.data();
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const float v = xv[static_cast<size_t>(r) * cols + c];
-      if (v > out[c]) {
-        out[c] = v;
-        argmax[c] = r;
+  const SegmentView segments{offsets, rows};
+  std::vector<float> out = AcquireBufferFill(
+      static_cast<size_t>(segments.count()) * cols, 0.0f);
+  const float* xv = x.data().data();
+  for (int s = 0; s < segments.count(); ++s) {
+    // SumRows' row-ascending sum from 0, then Scale's multiply.
+    float* orow = out.data() + static_cast<size_t>(s) * cols;
+    for (int r = segments.begin(s); r < segments.end(s); ++r) {
+      const float* xrow = xv + static_cast<size_t>(r) * cols;
+      for (int c = 0; c < cols; ++c) orow[c] += xrow[c];
+    }
+    const float inv =
+        1.0f / static_cast<float>(segments.end(s) - segments.begin(s));
+    for (int c = 0; c < cols; ++c) orow[c] *= inv;
+  }
+  if (!Records({&x})) {
+    return MakeResult(std::move(out_shape), std::move(out), {x}, nullptr);
+  }
+  return MakeResult(
+      std::move(out_shape), std::move(out), {x},
+      [x, offsets, rows, cols](TensorImpl& self) {
+        if (!WantsGrad(x)) return;
+        float* gx = GradOf(x)->data();
+        const SegmentView segments{offsets, rows};
+        for (int s = segments.count() - 1; s >= 0; --s) {
+          const float* grow = self.grad.data() + static_cast<size_t>(s) * cols;
+          const float inv =
+              1.0f / static_cast<float>(segments.end(s) - segments.begin(s));
+          for (int r = segments.begin(s); r < segments.end(s); ++r) {
+            float* gxrow = gx + static_cast<size_t>(r) * cols;
+            // Scale's backward wrote into SumRows' zero-initialised grad,
+            // which SumRows then added to every row: hence `0.0f +`.
+            for (int c = 0; c < cols; ++c) gxrow[c] += 0.0f + grow[c] * inv;
+          }
+        }
+      });
+}
+
+// MaxOverRows over `offsets` segments (empty: one segment), one output row
+// per segment, shaped `out_shape`.
+Tensor MaxSegments(const Tensor& x, const std::vector<int>& offsets,
+                   std::vector<int> out_shape) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  const int rows = x.shape()[0];
+  const int cols = x.shape()[1];
+  IMR_CHECK_GT(rows, 0);
+  const SegmentView segments{offsets, rows};
+  const size_t count = static_cast<size_t>(segments.count());
+  std::vector<float> out = AcquireBufferFill(
+      count * cols, -std::numeric_limits<float>::infinity());
+  const bool record = Records({&x});
+  // The row each output takes its value from; only a recording forward
+  // needs it.
+  std::vector<int> argmax;
+  if (record) argmax.resize(count * cols);
+  const float* xv = x.data().data();
+  for (int s = 0; s < segments.count(); ++s) {
+    const size_t base = static_cast<size_t>(s) * cols;
+    if (record) {
+      std::fill_n(argmax.begin() + static_cast<long>(base), cols,
+                  segments.begin(s));
+    }
+    for (int r = segments.begin(s); r < segments.end(s); ++r) {
+      for (int c = 0; c < cols; ++c) {
+        const float v = xv[static_cast<size_t>(r) * cols + c];
+        if (v > out[base + c]) {
+          out[base + c] = v;
+          if (record) argmax[base + c] = r;
+        }
       }
     }
   }
-  return MakeResult({cols}, std::move(out), {x},
-                    [x, argmax = std::move(argmax), cols](TensorImpl& self) {
-                      if (!WantsGrad(x)) return;
-                      auto* gx = GradOf(x);
-                      for (int c = 0; c < cols; ++c)
-                        (*gx)[static_cast<size_t>(argmax[c]) * cols + c] +=
-                            self.grad[c];
-                    });
+  if (!record) {
+    return MakeResult(std::move(out_shape), std::move(out), {x}, nullptr);
+  }
+  return MakeResult(
+      std::move(out_shape), std::move(out), {x},
+      [x, argmax = std::move(argmax), cols, count](TensorImpl& self) {
+        if (!WantsGrad(x)) return;
+        auto* gx = GradOf(x);
+        for (size_t s = count; s-- > 0;) {
+          const size_t base = s * cols;
+          for (int c = 0; c < cols; ++c)
+            (*gx)[static_cast<size_t>(argmax[base + c]) * cols + c] +=
+                self.grad[base + c];
+        }
+      });
+}
+
+}  // namespace
+
+Tensor MeanRows(const Tensor& x) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  return MeanSegments(x, {}, {x.shape()[1]});
+}
+
+Tensor MeanRows(const Tensor& x, const std::vector<int>& offsets,
+                int per_row) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  const int count = static_cast<int>(offsets.size()) - 1;
+  IMR_CHECK_GT(per_row, 0);
+  IMR_CHECK_EQ(count % per_row, 0);
+  return MeanSegments(x, offsets,
+                      {count / per_row, per_row * x.shape()[1]});
+}
+
+Tensor MaxOverRows(const Tensor& x) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  return MaxSegments(x, {}, {x.shape()[1]});
+}
+
+Tensor MaxOverRows(const Tensor& x, const std::vector<int>& offsets) {
+  IMR_CHECK_EQ(x.rank(), 2);
+  CheckOffsets(offsets, x.shape()[0]);
+  return MaxSegments(x, offsets,
+                     {static_cast<int>(offsets.size()) - 1, x.shape()[1]});
 }
 
 namespace {
@@ -1076,24 +1331,58 @@ Tensor PiecewiseMaxOverRows(const Tensor& x, const std::vector<int>& offsets,
                               {count, 3 * x.shape()[1]});
 }
 
-Tensor Softmax(const Tensor& x) {
+namespace {
+
+// Softmax over `offsets` segments of a rank-1 x, or, when `offsets` is
+// empty, over each row of x.
+Tensor SoftmaxSegments(const Tensor& x, const std::vector<int>& offsets) {
   const int rows = x.rows();
   const int cols = x.cols();
   std::vector<float> out = AcquireBuffer(x.size());
-  simd::Active().softmax_rows(x.data().data(), out.data(), rows, cols);
+  const simd::Kernels& kernels = simd::Active();
+  const float* xv = x.data().data();
+  if (offsets.empty()) {
+    kernels.softmax_rows(xv, out.data(), rows, cols);
+  } else {
+    for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+      kernels.softmax_rows(xv + offsets[s], out.data() + offsets[s], 1,
+                           offsets[s + 1] - offsets[s]);
+    }
+  }
+  if (!Records({&x})) {
+    return MakeResult(x.shape(), std::move(out), {x}, nullptr);
+  }
   return MakeResult(
-      x.shape(), std::move(out), {x}, [x, rows, cols](TensorImpl& self) {
+      x.shape(), std::move(out), {x},
+      [x, offsets, rows, cols](TensorImpl& self) {
         if (!WantsGrad(x)) return;
-        auto* gx = GradOf(x);
-        for (int r = 0; r < rows; ++r) {
-          const float* y = self.value.data() + static_cast<size_t>(r) * cols;
-          const float* gy = self.grad.data() + static_cast<size_t>(r) * cols;
+        float* gx = GradOf(x)->data();
+        const int count =
+            offsets.empty() ? rows : static_cast<int>(offsets.size()) - 1;
+        for (int s = count - 1; s >= 0; --s) {
+          const size_t begin =
+              offsets.empty() ? static_cast<size_t>(s) * cols
+                              : static_cast<size_t>(offsets[s]);
+          const size_t end =
+              offsets.empty() ? begin + cols
+                              : static_cast<size_t>(offsets[s + 1]);
+          const float* y = self.value.data();
+          const float* gy = self.grad.data();
           float dot = 0.0f;
-          for (int c = 0; c < cols; ++c) dot += y[c] * gy[c];
-          float* grow = gx->data() + static_cast<size_t>(r) * cols;
-          for (int c = 0; c < cols; ++c) grow[c] += y[c] * (gy[c] - dot);
+          for (size_t i = begin; i < end; ++i) dot += y[i] * gy[i];
+          for (size_t i = begin; i < end; ++i) gx[i] += y[i] * (gy[i] - dot);
         }
       });
+}
+
+}  // namespace
+
+Tensor Softmax(const Tensor& x) { return SoftmaxSegments(x, {}); }
+
+Tensor Softmax(const Tensor& x, const std::vector<int>& offsets) {
+  IMR_CHECK_EQ(x.rank(), 1);
+  CheckOffsets(offsets, x.shape()[0]);
+  return SoftmaxSegments(x, offsets);
 }
 
 Tensor LogSoftmax(const Tensor& x) {

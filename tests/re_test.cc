@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "tensor/ops.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace imr::re {
 namespace {
@@ -282,8 +284,8 @@ TEST(PaModelTest, PredictMatchesPerRelationBagLogitsBitForBit) {
 }
 
 // BatchLoss encodes its whole batch with one op per encoder layer. Its
-// gradients must equal, bit for bit, those of the graph BatchLoss built
-// before: per-sentence Encode, one ConcatRows per bag. The batch repeats
+// gradients must equal, bit for bit, those of the per-sentence graph: one
+// Encode per sentence, joined by one ConcatRows. The batch repeats
 // words across sentences, so table rows, the conv weight and its bias all
 // take contributions from several sentences, whose order must hold. Checked
 // with and without word dropout, on the shared gradients and inside a
@@ -340,15 +342,13 @@ TEST(PaModelTest, BatchLossGradientsMatchPerSentenceGraphBitForBit) {
         if (batched) {
           loss = model.BatchLoss(batch, &rng);
         } else {
-          std::vector<tensor::Tensor> encodings;
+          std::vector<tensor::Tensor> rows;
           for (const Bag* bag : batch) {
-            std::vector<tensor::Tensor> rows;
             for (const nn::EncoderInput& sentence : bag->sentences) {
               rows.push_back(model.encoder().Encode(sentence, &rng));
             }
-            encodings.push_back(tensor::ConcatRows(rows));
           }
-          loss = model.BatchLoss(batch, encodings);
+          loss = model.BatchLoss(batch, tensor::ConcatRows(rows));
         }
         loss.Backward();
         Run result{loss.item(), {}, {}, {}, {}};
@@ -393,6 +393,242 @@ TEST(PaModelTest, BatchLossGradientsMatchPerSentenceGraphBitForBit) {
       }
     }
   }
+}
+
+// The loss of a batch as BatchLoss built it with one attention, head and
+// fusion graph per bag: each bag slices its rows of `encodings`, and the
+// bags' logits meet in one ConcatRows. Written from the model's named
+// parameters and the public ops, as the reference for the bag-level ops.
+tensor::Tensor PerBagReferenceLoss(const PaModel& model,
+                                   const std::vector<const Bag*>& batch,
+                                   const tensor::Tensor& encodings) {
+  std::map<std::string, tensor::Tensor> params;
+  for (nn::NamedParameter& p : const_cast<PaModel&>(model).Parameters()) {
+    params[p.name] = p.tensor;
+  }
+  const auto param = [&params](const std::string& name) {
+    const auto it = params.find(name);
+    EXPECT_NE(it, params.end()) << name;
+    return it->second;
+  };
+  const auto linear = [&param](const std::string& head,
+                               const tensor::Tensor& x) {
+    return tensor::Add(tensor::MatMul(x, param(head + ".weight")),
+                       param(head + ".bias"));
+  };
+  const auto entity = [&param](const std::vector<int>& type_ids) {
+    return tensor::Scale(
+        tensor::SumRows(tensor::GatherRows(
+            param("type_embedding.table.table"), type_ids)),
+        1.0f / static_cast<float>(type_ids.size()));
+  };
+  const PaModelConfig& config = model.config();
+  const bool fused = config.use_mutual_relation || config.use_entity_type;
+  const bool auxiliary = fused && config.auxiliary_re_loss > 0.0f;
+  std::vector<tensor::Tensor> logit_rows;
+  std::vector<tensor::Tensor> re_rows;
+  std::vector<int> labels;
+  int first = 0;
+  for (const Bag* bag : batch) {
+    const int n = static_cast<int>(bag->sentences.size());
+    const tensor::Tensor x = tensor::SliceRows(encodings, first, n);
+    first += n;
+    tensor::Tensor repr;
+    switch (config.aggregation) {
+      case Aggregation::kAttention: {
+        tensor::Tensor query = tensor::Reshape(
+            tensor::GatherRows(param("attention.queries.table"),
+                               {bag->relation}),
+            {x.cols()});
+        tensor::Tensor alpha = tensor::Softmax(tensor::RowwiseDot(
+            x, tensor::Mul(param("attention.diag"), query)));
+        repr = tensor::WeightedSumRows(x, alpha);
+        break;
+      }
+      case Aggregation::kAverage:
+        repr = tensor::Scale(tensor::SumRows(x), 1.0f / static_cast<float>(n));
+        break;
+      case Aggregation::kMax:
+        repr = tensor::MaxOverRows(x);
+        break;
+    }
+    const tensor::Tensor re_logits = linear("re_head", repr);
+    tensor::Tensor logits = re_logits;
+    if (fused) {
+      tensor::Tensor mixture = tensor::ScaleByScalarTensor(
+          tensor::Softmax(re_logits), param("gamma"));
+      if (config.use_mutual_relation) {
+        const tensor::Tensor mr = tensor::Tensor::FromData(
+            {config.mutual_relation_dim}, bag->mutual_relation);
+        mixture = tensor::AddRowVector(
+            mixture,
+            tensor::ScaleByScalarTensor(
+                tensor::Softmax(linear("mr_head", mr)), param("alpha")));
+      }
+      if (config.use_entity_type) {
+        const tensor::Tensor pair = tensor::ConcatVec(
+            {entity(bag->head_types), entity(bag->tail_types)});
+        mixture = tensor::AddRowVector(
+            mixture,
+            tensor::ScaleByScalarTensor(
+                tensor::Softmax(linear("type_head", pair)), param("beta")));
+      }
+      logits = tensor::AddRowVector(
+          tensor::ScaleByScalarTensor(mixture, param("fuse_scale")),
+          param("fuse_bias"));
+    }
+    logit_rows.push_back(logits);
+    if (auxiliary) re_rows.push_back(re_logits);
+    labels.push_back(bag->relation);
+  }
+  tensor::Tensor loss =
+      tensor::CrossEntropyLoss(tensor::ConcatRows(logit_rows), labels);
+  if (auxiliary) {
+    loss = tensor::Add(
+        loss, tensor::Scale(tensor::CrossEntropyLoss(
+                                tensor::ConcatRows(re_rows), labels),
+                            config.auxiliary_re_loss));
+  }
+  return loss;
+}
+
+// BatchLoss builds its bag level as one graph over all the bags of the
+// batch. Its loss and gradients must equal, bit for bit, the per-bag graph
+// it replaced: every op that adds into a parameter shared across bags (the
+// attention diagonal and query rows, the heads, the type table, the fusion
+// scalars and bias) must walk the bags last to first, the order in which
+// the per-bag graph fired. The batch has three bags of two or more
+// sentences with the same gold relation, so one query row and the diagonal
+// each take three nonzero shares (a one-sentence bag's attention passes
+// none, and two shares add the same either way round). It also has two bags
+// sharing a type id (one type row), an entity with two types, and bags of
+// one and of three or more sentences.
+TEST(PaModelTest, BatchLossMatchesPerBagGraphBitForBit) {
+  Fixture& f = SharedFixture();
+  f.AttachMr();
+  std::vector<Bag> bags;
+  std::vector<nn::EncoderInput> spare;
+  for (const Bag& bag : f.bags->train_bags()) {
+    if (bags.size() < 5) bags.push_back(bag);
+    for (const nn::EncoderInput& sentence : bag.sentences) {
+      if (spare.size() < 4) spare.push_back(sentence);
+    }
+  }
+  ASSERT_EQ(bags.size(), 5u);
+  ASSERT_EQ(spare.size(), 4u);
+  bags[0].sentences.resize(1);
+  bags[1].sentences.insert(bags[1].sentences.end(), spare.begin(),
+                           spare.begin() + 3);
+  for (size_t b : {2u, 3u}) {
+    bags[b].sentences.push_back(spare[3]);
+    bags[b].relation = bags[1].relation;
+  }
+  bags[2].head_types = {1, 4};
+  bags[4].tail_types = {4};
+  std::vector<const Bag*> batch;
+  for (const Bag& bag : bags) batch.push_back(&bag);
+  ASSERT_GE(batch[1]->sentences.size(), 3u);
+  ASSERT_EQ(batch[0]->sentences.size(), 1u);
+  for (size_t b : {2u, 3u}) {
+    ASSERT_GE(batch[b]->sentences.size(), 2u);
+    ASSERT_EQ(batch[b]->relation, batch[1]->relation);
+  }
+
+  const auto bits = [](const std::vector<float>& values) {
+    std::vector<uint32_t> out;
+    for (float v : values) out.push_back(std::bit_cast<uint32_t>(v));
+    return out;
+  };
+  struct Run {
+    uint32_t loss;
+    std::vector<std::string> names;
+    std::vector<std::vector<uint32_t>> grads;
+    std::vector<std::vector<int>> touched;
+    std::vector<std::vector<int>> sink_rows;
+  };
+  int checked = 0;
+  for (Aggregation aggregation :
+       {Aggregation::kAttention, Aggregation::kAverage, Aggregation::kMax}) {
+    for (int fusion = 0; fusion < 4; ++fusion) {
+      for (float auxiliary : {0.0f, 0.5f}) {
+        for (float word_dropout : {0.0f, 0.25f}) {
+          for (bool in_sink : {false, true}) {
+            PaModelConfig config = f.SmallModelConfig(
+                "pcnn", aggregation, (fusion & 1) != 0, (fusion & 2) != 0);
+            config.auxiliary_re_loss = auxiliary;
+            config.encoder_config.word_dropout = word_dropout;
+            config.encoder_config.dropout = 0.5f;
+            util::Rng init(67);
+            PaModel model(config, &init);
+            model.SetTraining(true);
+            const auto run = [&](bool batched) {
+              model.ZeroGrad();
+              util::Rng rng(9);
+              std::vector<std::unique_ptr<tensor::internal::ScopedGradSink>>
+                  sinks;
+              if (in_sink) {
+                sinks.push_back(
+                    std::make_unique<tensor::internal::ScopedGradSink>());
+              }
+              std::vector<const nn::EncoderInput*> inputs;
+              for (const Bag* bag : batch) {
+                for (const nn::EncoderInput& sentence : bag->sentences) {
+                  inputs.push_back(&sentence);
+                }
+              }
+              const tensor::Tensor encodings =
+                  model.encoder().EncodeBatch(inputs, &rng);
+              tensor::Tensor loss =
+                  batched ? model.BatchLoss(batch, encodings)
+                          : PerBagReferenceLoss(model, batch, encodings);
+              loss.Backward();
+              Run result{std::bit_cast<uint32_t>(loss.item()), {}, {}, {}, {}};
+              if (in_sink) {
+                sinks[0]->Deactivate();
+                for (const auto& entry : sinks[0]->entries()) {
+                  if (entry.row_sparse) {
+                    result.sink_rows.push_back(entry.touched_rows);
+                  }
+                }
+                tensor::internal::ScopedGradSink::MergeIntoShared(sinks);
+              }
+              for (nn::NamedParameter& p : model.Parameters()) {
+                result.names.push_back(p.name);
+                result.grads.push_back(bits(p.tensor.grad()));
+                const std::vector<int>& rows = p.tensor.grad_touched_rows();
+                result.touched.emplace_back(rows.begin(), rows.end());
+              }
+              std::sort(result.sink_rows.begin(), result.sink_rows.end());
+              return result;
+            };
+            const Run batched = run(true);
+            const Run reference = run(false);
+            const std::string where =
+                "aggregation=" + std::to_string(static_cast<int>(aggregation)) +
+                " mr=" + std::to_string(fusion & 1) +
+                " types=" + std::to_string((fusion & 2) != 0) +
+                " auxiliary=" + std::to_string(auxiliary) +
+                " word_dropout=" + std::to_string(word_dropout) +
+                " sink=" + std::to_string(in_sink);
+            EXPECT_EQ(batched.loss, reference.loss) << where;
+            ASSERT_EQ(batched.names, reference.names);
+            for (size_t i = 0; i < batched.grads.size(); ++i) {
+              EXPECT_EQ(batched.grads[i], reference.grads[i])
+                  << where << " gradient of " << batched.names[i];
+              EXPECT_EQ(batched.touched[i], reference.touched[i])
+                  << where << " touched rows of " << batched.names[i];
+            }
+            EXPECT_EQ(batched.sink_rows, reference.sink_rows) << where;
+            if (in_sink) {
+              EXPECT_FALSE(batched.sink_rows.empty()) << where;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 96);
 }
 
 TEST(PaModelTest, AverageAndMaxAggregations) {
@@ -515,27 +751,73 @@ TEST(TrainingTest, LossDecreasesOverEpochs) {
 
 TEST(TrainingTest, ParallelBatchesBitIdenticalAcrossThreadCounts) {
   // The data-parallel trainer splits each batch into a fixed number of
-  // chunks whose boundaries depend only on the batch size, so every
-  // thread count > 1 must yield bit-identical loss curves.
+  // chunks whose boundaries depend only on the batch size, and the global
+  // pool's threads claim them longest first. Chunk c keeps its seed, its
+  // gradient sink and its loss slot, and the merge adds the sinks in chunk
+  // order, so every pool size must give the same floats. PA-TMR on bags of
+  // one to five sentences: a shuffled batch's chunks differ in token count,
+  // so claim order differs from index order.
   Fixture& f = SharedFixture();
-  auto run = [&f](int threads) {
-    util::Rng rng(107);
+  f.AttachMr();
+  std::vector<nn::EncoderInput> spare;
+  for (const Bag& bag : f.bags->train_bags()) {
+    for (const nn::EncoderInput& sentence : bag.sentences) {
+      if (spare.size() < 4) spare.push_back(sentence);
+    }
+  }
+  ASSERT_EQ(spare.size(), 4u);
+  std::vector<Bag> bags;
+  std::set<size_t> token_counts;
+  for (const Bag& source : f.bags->train_bags()) {
+    if (bags.size() == 96) break;
+    Bag bag = source;
+    bag.sentences.resize(1);
+    bag.sentences.insert(bag.sentences.end(), spare.begin(),
+                         spare.begin() + static_cast<long>(bags.size() % 5));
+    size_t tokens = 0;
+    for (const nn::EncoderInput& sentence : bag.sentences) {
+      tokens += sentence.word_ids.size();
+    }
+    token_counts.insert(tokens);
+    bags.push_back(std::move(bag));
+  }
+  ASSERT_EQ(bags.size(), 96u);
+  ASSERT_GE(token_counts.size(), 5u);
+  const auto run = [&](int pool_threads) {
+    const int previous = util::GlobalThreads();
+    util::SetGlobalThreads(pool_threads);
     PaModelConfig config =
-        f.SmallModelConfig("cnn", Aggregation::kAverage, false, false);
+        f.SmallModelConfig("pcnn", Aggregation::kAttention, true, true);
+    config.encoder_config.dropout = 0.5f;
+    config.encoder_config.word_dropout = 0.25f;
+    util::Rng rng(107);
     PaModel model(config, &rng);
     TrainerConfig trainer_config;
     trainer_config.epochs = 2;
     trainer_config.batch_size = 32;
-    trainer_config.learning_rate = 0.2f;
-    trainer_config.threads = threads;
+    trainer_config.optimizer = "adam";
+    trainer_config.learning_rate = 0.01f;
+    trainer_config.threads = 2;  // selects the data-parallel step
     Trainer trainer(&model, trainer_config);
-    return trainer.Train(f.bags->train_bags());
+    std::vector<double> losses;
+    for (const EpochStats& epoch : trainer.Train(bags)) {
+      losses.push_back(epoch.mean_loss);
+    }
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (nn::NamedParameter& p : model.Parameters()) {
+      for (float v : p.tensor.data()) {
+        hash = (hash ^ std::bit_cast<uint32_t>(v)) * 0x100000001b3ULL;
+      }
+    }
+    util::SetGlobalThreads(previous);
+    return std::make_pair(losses, hash);
   };
-  auto two = run(2);
-  auto four = run(4);
-  ASSERT_EQ(two.size(), four.size());
-  for (size_t e = 0; e < two.size(); ++e) {
-    EXPECT_EQ(two[e].mean_loss, four[e].mean_loss) << "epoch " << e;
+  const auto one = run(1);
+  ASSERT_EQ(one.first.size(), 2u);
+  for (int threads : {2, 3, 4}) {
+    const auto other = run(threads);
+    EXPECT_EQ(other.first, one.first) << threads << " threads";
+    EXPECT_EQ(other.second, one.second) << threads << " threads";
   }
 }
 
